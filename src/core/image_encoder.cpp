@@ -9,6 +9,12 @@ ImageEncoder::ImageEncoder(const ImageEncoderConfig& cfg, util::Rng& rng)
 }
 
 Tensor ImageEncoder::forward(const Tensor& images, bool train) {
+  // Refuse before the backbone's train forward moves BatchNorm statistics
+  // a snapshot serves with.
+  if (train && fc_ && fc_->frozen_for_serving())
+    throw std::logic_error(
+        "ImageEncoder::forward: train-mode forward through a projection frozen for serving (a "
+        "ModelSnapshot was built from this model); train a separate copy of the model");
   Tensor h = backbone_.net->forward(images, train);
   if (fc_) h = fc_->forward(h, train);
   return h;

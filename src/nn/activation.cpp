@@ -6,10 +6,12 @@ namespace hdczsc::nn {
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
   if (train) cached_input_ = x;
-  Tensor out = x.clone();
+  Tensor out(x.shape());
+  const float* in = x.data();
   float* o = out.data();
-  for (std::size_t i = 0; i < out.numel(); ++i)
-    if (o[i] < 0.0f) o[i] = 0.0f;
+  // A select rather than a conditional store, so the loop vectorizes. Only
+  // values that compare below zero clamp: -0.0, +inf and NaN pass through.
+  for (std::size_t i = 0; i < out.numel(); ++i) o[i] = in[i] < 0.0f ? 0.0f : in[i];
   return out;
 }
 

@@ -23,8 +23,12 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const float* X = x.data();
   float* O = out.data();
 
-  Tensor mean({c}), var({c});
+  // Eval normalizes with the running statistics in place; train computes
+  // the batch statistics, folds them into the running ones and caches x̂.
+  Tensor mean = running_mean_, var = running_var_;
   if (train) {
+    mean = Tensor({c});
+    var = Tensor({c});
     for (std::size_t ch = 0; ch < c; ++ch) {
       double s = 0.0;
       for (std::size_t b = 0; b < batch; ++b) {
@@ -47,27 +51,31 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
                                    : var[ch];
       running_var_[ch] = (1.0f - momentum_) * running_var_[ch] + momentum_ * unbiased;
     }
-  } else {
-    mean = running_mean_.clone();
-    var = running_var_.clone();
   }
 
   Tensor inv_std({c});
   for (std::size_t ch = 0; ch < c; ++ch)
     inv_std[ch] = 1.0f / std::sqrt(var[ch] + eps_);
 
-  Tensor xhat(x.shape());
-  float* XH = xhat.data();
+  Tensor xhat = train ? Tensor(x.shape()) : Tensor();
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t ch = 0; ch < c; ++ch) {
       const float m = mean[ch], is = inv_std[ch];
       const float g = gamma_.value[ch], be = beta_.value[ch];
-      const float* p = X + (b * c + ch) * spatial;
-      float* xh = XH + (b * c + ch) * spatial;
-      float* o = O + (b * c + ch) * spatial;
-      for (std::size_t i = 0; i < spatial; ++i) {
-        xh[i] = (p[i] - m) * is;
-        o[i] = g * xh[i] + be;
+      const std::size_t off = (b * c + ch) * spatial;
+      const float* p = X + off;
+      float* o = O + off;
+      if (train) {
+        float* xh = xhat.data() + off;
+        for (std::size_t i = 0; i < spatial; ++i) {
+          xh[i] = (p[i] - m) * is;
+          o[i] = g * xh[i] + be;
+        }
+      } else {
+        for (std::size_t i = 0; i < spatial; ++i) {
+          const float xh = (p[i] - m) * is;
+          o[i] = g * xh + be;
+        }
       }
     }
   }

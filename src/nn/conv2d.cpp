@@ -1,5 +1,6 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "nn/init.hpp"
@@ -9,6 +10,27 @@
 #include "util/parallel.hpp"
 
 namespace hdczsc::nn {
+
+namespace {
+
+// A conv whose whole-batch column matrix holds fewer floats than this runs
+// its per-image loops (im2col, scatter, gather, col2im) on the calling
+// thread: below it a pool dispatch costs about as much as the copying it
+// would share (DESIGN.md §6 "Threading model" has the measurement).
+constexpr std::size_t kConvInlineColumnFloats = std::size_t{1} << 18;
+
+/// fn(b) for every image b of a batch whose column matrix has
+/// `column_floats` entries — on the pool only when that is large enough.
+template <typename Fn>
+void for_each_image(std::size_t batch, std::size_t column_floats, const Fn& fn) {
+  if (column_floats < kConvInlineColumnFloats) {
+    for (std::size_t b = 0; b < batch; ++b) fn(b);
+  } else {
+    util::parallel_for(0, batch, fn, 1);
+  }
+}
+
+}  // namespace
 
 void im2col(const float* input, std::size_t channels, std::size_t height, std::size_t width,
             std::size_t kh, std::size_t kw, std::size_t stride, std::size_t pad, float* columns,
@@ -22,19 +44,30 @@ void im2col(const float* input, std::size_t channels, std::size_t height, std::s
     for (std::size_t ki = 0; ki < kh; ++ki) {
       for (std::size_t kj = 0; kj < kw; ++kj, ++row) {
         float* dst = columns + row * rstride;
+        // Output columns [ox_lo, ox_hi) read input column ox*stride + kj - pad
+        // inside [0, width); the rest are zero padding. Bounding them once
+        // per row keeps bounds checks out of the per-element loops, and the
+        // unit-stride loop (every 3x3 conv but the downsampling ones)
+        // vectorizes as a plain copy.
+        const std::size_t first = kj >= pad ? 0 : (pad - kj + stride - 1) / stride;
+        const std::size_t end = width + pad <= kj ? 0 : (width + pad - kj + stride - 1) / stride;
+        const std::size_t ox_lo = std::min(out_w, first);
+        const std::size_t ox_hi = std::max(ox_lo, std::min(out_w, end));
         for (std::size_t oy = 0; oy < out_h; ++oy) {
+          float* d = dst + oy * out_w;
           const long iy = static_cast<long>(oy * stride + ki) - static_cast<long>(pad);
           if (iy < 0 || iy >= static_cast<long>(height)) {
-            std::memset(dst + oy * out_w, 0, out_w * sizeof(float));
+            std::memset(d, 0, out_w * sizeof(float));
             continue;
           }
           const float* src_row = input + (c * height + static_cast<std::size_t>(iy)) * width;
-          for (std::size_t ox = 0; ox < out_w; ++ox) {
-            const long ix = static_cast<long>(ox * stride + kj) - static_cast<long>(pad);
-            dst[oy * out_w + ox] =
-                (ix < 0 || ix >= static_cast<long>(width)) ? 0.0f
-                                                           : src_row[static_cast<std::size_t>(ix)];
+          for (std::size_t ox = 0; ox < ox_lo; ++ox) d[ox] = 0.0f;
+          if (stride == 1) {
+            for (std::size_t ox = ox_lo; ox < ox_hi; ++ox) d[ox] = src_row[ox + kj - pad];
+          } else {
+            for (std::size_t ox = ox_lo; ox < ox_hi; ++ox) d[ox] = src_row[ox * stride + kj - pad];
           }
+          for (std::size_t ox = ox_hi; ox < out_w; ++ox) d[ox] = 0.0f;
         }
       }
     }
@@ -97,9 +130,9 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   // Whole-batch column matrix [krows, batch*ncols]: image b owns the
   // contiguous column slice [b*ncols, (b+1)*ncols).
   float* cols = tensor::scratch_f32(tensor::kScratchConvCols, krows * total);
-  util::parallel_for(0, batch, [&](std::size_t b) {
+  for_each_image(batch, krows * total, [&](std::size_t b) {
     im2col(X + b * in_c_ * h * w, in_c_, h, w, k_, k_, stride_, pad_, cols + b * ncols, total);
-  }, 1);
+  });
 
   // One GEMM for the whole batch: out[out_c, batch*ncols] = W_flat * cols.
   float* out = tensor::scratch_f32(tensor::kScratchConvOut, out_c_ * total);
@@ -108,7 +141,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
                           cols, total, out, total);
 
   // Scatter channel-major GEMM rows back to NCHW, folding in the bias.
-  util::parallel_for(0, batch, [&](std::size_t b) {
+  for_each_image(batch, krows * total, [&](std::size_t b) {
     float* yb = Y + b * out_c_ * ncols;
     for (std::size_t oc = 0; oc < out_c_; ++oc) {
       const float* src = out + oc * total + b * ncols;
@@ -120,7 +153,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
         std::memcpy(yrow, src, ncols * sizeof(float));
       }
     }
-  }, 1);
+  });
   return y;
 }
 
@@ -148,18 +181,18 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
 
   // Rebuild the whole-batch column matrix (same layout as forward).
   float* cols = tensor::scratch_f32(tensor::kScratchConvCols, krows * total);
-  util::parallel_for(0, batch, [&](std::size_t b) {
+  for_each_image(batch, krows * total, [&](std::size_t b) {
     im2col(X + b * in_c_ * h * w, in_c_, h, w, k_, k_, stride_, pad_, cols + b * ncols, total);
-  }, 1);
+  });
 
   // Gather NCHW output grads into channel-major gbig[out_c, batch*ncols] so
   // both parameter-grad GEMMs see one contiguous matrix.
   float* gbig = tensor::scratch_f32(tensor::kScratchConvOut, out_c_ * total);
-  util::parallel_for(0, batch, [&](std::size_t b) {
+  for_each_image(batch, krows * total, [&](std::size_t b) {
     const float* gb = G + b * out_c_ * ncols;
     for (std::size_t oc = 0; oc < out_c_; ++oc)
       std::memcpy(gbig + oc * total + b * ncols, gb + oc * ncols, ncols * sizeof(float));
-  }, 1);
+  });
 
   // dW[out_c, krows] += gbig * cols^T — one GEMM-NT for the whole batch,
   // accumulating straight into the parameter gradient.
@@ -180,9 +213,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   std::memset(dcols, 0, krows * total * sizeof(float));
   tensor::gemm_accumulate(tensor::Trans::T, tensor::Trans::N, krows, total, out_c_, W, krows,
                           gbig, total, dcols, total);
-  util::parallel_for(0, batch, [&](std::size_t b) {
+  for_each_image(batch, krows * total, [&](std::size_t b) {
     col2im(dcols + b * ncols, in_c_, h, w, k_, k_, stride_, pad_, DX + b * in_c_ * h * w, total);
-  }, 1);
+  });
   return dx;
 }
 

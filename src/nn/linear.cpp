@@ -17,16 +17,40 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   if (x.dim() != 2 || x.size(1) != in_)
     throw std::invalid_argument("Linear::forward: input " + tensor::shape_str(x.shape()) +
                                 " incompatible with in_features=" + std::to_string(in_));
-  if (train) cached_input_ = x;
-  Tensor y = tensor::matmul_nt(x, w_.value);  // [B, out]
+  if (train) {
+    if (frozen_for_serving_)
+      throw std::logic_error(
+          "Linear::forward: train-mode forward on a layer frozen for serving (its weight is "
+          "packed for a ModelSnapshot); train a separate copy of the model");
+    cached_input_ = x;
+  }
+  const std::size_t batch = x.size(0);
+  Tensor y;
+  if (pack_) {
+    std::call_once(pack_->once, [this] {
+      pack_->weight.emplace(tensor::Trans::T, in_, out_, w_.value.data(), in_);
+    });
+    y = Tensor({batch, out_});
+    tensor::gemm_packed(batch, x.data(), in_, *pack_->weight, y.data(), out_);
+  } else {
+    y = tensor::matmul_nt(x, w_.value);  // [B, out]
+  }
   if (has_bias_) {
-    const std::size_t batch = y.size(0);
     float* Y = y.data();
     const float* B = b_.value.data();
     for (std::size_t i = 0; i < batch; ++i)
       for (std::size_t j = 0; j < out_; ++j) Y[i * out_ + j] += B[j];
   }
   return y;
+}
+
+void Linear::freeze_for_serving() {
+  if (frozen_for_serving_) return;  // idempotent: a second snapshot of one model writes nothing
+  frozen_for_serving_ = true;
+  cached_input_ = Tensor();  // no backward from a pre-freeze forward either
+  // Below the naive cutoff matmul_nt takes gemm_naive for small batches,
+  // which a pre-packed product (always blocked) would not reproduce.
+  if (!pack_ && in_ * out_ >= tensor::kGemmNaiveCutoff) pack_ = std::make_shared<ServingPack>();
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {

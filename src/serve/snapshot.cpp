@@ -8,6 +8,13 @@
 namespace hdczsc::serve {
 
 namespace {
+/// The documented freeze point: a snapshot serves the weights it was built
+/// from, so its image-encoder projection is frozen (and packed for eval on
+/// its first embed; endpoints fed embeddings never build the pack).
+void freeze_projection(core::ZscModel& model) {
+  if (nn::Linear* fc = model.image_encoder().projection()) fc->freeze_for_serving();
+}
+
 std::shared_ptr<const PrototypeStore> build_store(
     const std::shared_ptr<core::ZscModel>& model, const tensor::Tensor& class_attributes,
     std::size_t binary_expansion) {
@@ -29,6 +36,7 @@ ModelSnapshot::ModelSnapshot(std::shared_ptr<core::ZscModel> model,
       store_(build_store(model_, class_attributes, binary_expansion)),
       preferred_shards_(preferred_shards == 0 ? 1 : preferred_shards) {
   adopt_seen_mask(std::move(seen_mask));
+  freeze_projection(*model_);
 }
 
 ModelSnapshot::ModelSnapshot(std::shared_ptr<core::ZscModel> model,
@@ -43,6 +51,7 @@ ModelSnapshot::ModelSnapshot(std::shared_ptr<core::ZscModel> model,
     throw std::invalid_argument("ModelSnapshot: model dim " + std::to_string(model_->dim()) +
                                 " != prototype store dim " + std::to_string(store_->dim()));
   adopt_seen_mask(std::move(seen_mask));
+  freeze_projection(*model_);
 }
 
 void ModelSnapshot::adopt_seen_mask(std::vector<std::uint8_t> seen_mask) {

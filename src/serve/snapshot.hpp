@@ -6,10 +6,14 @@
 //    cost that dominates naive `class_logits` serving),
 //  * the PrototypeStore build (normalized float rows + bit-packed binary
 //    rows),
-// and freezes the similarity temperature. After construction the snapshot
+// and freezes the similarity temperature and the image encoder's projection
+// FC (nn::Linear::freeze_for_serving): from then on a train-mode forward
+// through the model throws, and the FC weight is packed once into the GEMM
+// panel layout on the first image embed (endpoints that only receive
+// embeddings never build that ~2 MiB pack). After construction the snapshot
 // only ever runs eval-mode forwards, which are read-only across the whole
-// layer stack — so one snapshot can be shared by any number of worker
-// threads without locking.
+// layer stack apart from that one std::call_once pack build — so one
+// snapshot can be shared by any number of worker threads without locking.
 #pragma once
 
 #include <memory>
@@ -68,7 +72,9 @@ class ModelSnapshot {
   const std::vector<std::uint8_t>& seen_mask() const { return seen_mask_; }
 
   /// Eval-mode image-encoder forward: embeddings [B, d] from images
-  /// [B, 3, S, S]. Thread-safe (no train-mode caching is touched).
+  /// [B, 3, S, S]. Thread-safe (no train-mode caching is touched; the first
+  /// call packs the frozen projection weight once). Bitwise equal to the
+  /// unfrozen model's eval forward at every batch size and worker count.
   tensor::Tensor embed(const tensor::Tensor& images) const;
 
   /// INT8 embed path — same contract as embed(), computed through the

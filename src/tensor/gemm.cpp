@@ -12,11 +12,11 @@ namespace hdczsc::tensor {
 namespace {
 
 /// Profiling hook (obs::set_profiling_enabled): wall time of each top-level
-/// gemm_accumulate call. Magic static — one pointer load per call; with
+/// gemm_accumulate / gemm_packed call. Magic static — one pointer load per call; with
 /// profiling off the ScopedTimer reads no clock.
 obs::Histogram* gemm_hist() {
   static const std::shared_ptr<obs::Histogram> h = obs::default_registry().histogram(
-      "tensor_gemm_ms", {}, "wall time of one gemm_accumulate call");
+      "tensor_gemm_ms", {}, "wall time of one gemm_accumulate or gemm_packed call");
   return h.get();
 }
 
@@ -27,10 +27,6 @@ obs::Histogram* gemm_hist() {
 constexpr std::size_t kMC = 128;
 constexpr std::size_t kKC = 256;
 constexpr std::size_t kNC = 1024;
-
-// Problems below this flop count run the plain triple loop: packing plus
-// dispatch costs more than it saves (gradcheck-sized matmuls, tiny convs).
-constexpr std::size_t kNaiveCutoff = 32 * 32 * 32;
 
 /// Logical element (i, p) of op(A) for either transpose state.
 inline float at(const float* M, std::size_t ld, Trans t, std::size_t i, std::size_t p) {
@@ -156,6 +152,52 @@ const KernelConfig& kernel() {
   return cfg;
 }
 
+std::size_t round_up(std::size_t x, std::size_t to) { return (x + to - 1) / to * to; }
+
+/// Run the flattened (jc, ic) block-task grid of C[m, n] += op(A) * op(B).
+/// `b_block(jc, nc, pc, kc)` yields the packed op(B)[pc:pc+kc, jc:jc+nc]
+/// panels for the calling thread. Each task packs its own A panels into
+/// thread-local scratch, so workers never share pack buffers.
+template <typename BBlock>
+void run_blocked(const KernelConfig& cfg, Trans ta, std::size_t m, std::size_t n, std::size_t k,
+                 const float* A, std::size_t lda, float* C, std::size_t ldc,
+                 const BBlock& b_block) {
+  const std::size_t workers = m * n * k < kGemmInlineMacs ? 1 : util::worker_count();
+  // Shrink the row-block height when the (jc, ic) grid alone would leave
+  // workers idle (e.g. Linear layers: m = batch <= 128, n <= 1024 is a
+  // single MC x NC block). Extra row blocks re-pack B redundantly, so only
+  // split as far as the pool can use, never below two tile rows.
+  std::size_t mc_blk = kMC;
+  if (workers > 1) {
+    const std::size_t jblocks = (n + kNC - 1) / kNC;
+    const std::size_t want_iblocks = (workers + jblocks - 1) / jblocks;
+    if (want_iblocks > 1) {
+      const std::size_t per = std::max((m + want_iblocks - 1) / want_iblocks, 2 * cfg.mr);
+      mc_blk = std::min(kMC, round_up(per, cfg.mr));
+    }
+  }
+  const std::size_t n_iblocks = (m + mc_blk - 1) / mc_blk;
+  const std::size_t n_tasks = n_iblocks * ((n + kNC - 1) / kNC);
+  const auto task = [&](std::size_t t) {
+    const std::size_t ic = (t % n_iblocks) * mc_blk;
+    const std::size_t jc = (t / n_iblocks) * kNC;
+    const std::size_t mc = std::min(mc_blk, m - ic);
+    const std::size_t nc = std::min(kNC, n - jc);
+    float* apack = scratch_f32(kScratchGemmPackA, round_up(mc, cfg.mr) * kKC);
+    for (std::size_t pc = 0; pc < k; pc += kKC) {
+      const std::size_t kc = std::min(kKC, k - pc);
+      const float* bpack = b_block(jc, nc, pc, kc);
+      pack_a(A, lda, ta, ic, pc, mc, kc, cfg.mr, apack);
+      cfg.macro(apack, bpack, mc, nc, kc, C + ic * ldc + jc, ldc);
+    }
+  };
+  if (workers > 1) {
+    util::parallel_for(0, n_tasks, task, 1);
+  } else {
+    for (std::size_t t = 0; t < n_tasks; ++t) task(t);
+  }
+}
+
 }  // namespace
 
 const char* gemm_kernel_name() { return kernel().name; }
@@ -217,49 +259,48 @@ void gemm_accumulate(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size
                      std::size_t ldc) {
   if (m == 0 || n == 0 || k == 0) return;
   const obs::ScopedTimer profile(gemm_hist());
-  if (m * n * k < kNaiveCutoff) {
+  if (m * n * k < kGemmNaiveCutoff) {
     gemm_naive(ta, tb, m, n, k, A, lda, B, ldb, C, ldc);
     return;
   }
   const KernelConfig& cfg = kernel();
-  // Shrink the row-block height when the (jc, ic) grid alone would leave
-  // workers idle (e.g. Linear layers: m = batch <= 128, n <= 1024 is a
-  // single MC x NC block). Extra row blocks re-pack B redundantly, so only
-  // split as far as the pool can use, never below two tile rows.
-  std::size_t mc_blk = kMC;
-  const std::size_t workers = util::worker_count();
-  if (workers > 1) {
-    const std::size_t jblocks = (n + kNC - 1) / kNC;
-    const std::size_t want_iblocks = (workers + jblocks - 1) / jblocks;
-    if (want_iblocks > 1) {
-      std::size_t per = (m + want_iblocks - 1) / want_iblocks;
-      per = std::max(per, 2 * cfg.mr);
-      mc_blk = std::min(kMC, (per + cfg.mr - 1) / cfg.mr * cfg.mr);
-    }
-  }
-  const std::size_t n_iblocks = (m + mc_blk - 1) / mc_blk;
-  const std::size_t n_jblocks = (n + kNC - 1) / kNC;
+  // B sub-panels are re-packed once per row block of the same column block
+  // — redundant work that is O(k*n) against the O(m*n*k) compute it unlocks.
+  run_blocked(cfg, ta, m, n, k, A, lda, C, ldc,
+              [&](std::size_t jc, std::size_t nc, std::size_t pc, std::size_t kc) {
+                float* bpack = scratch_f32(kScratchGemmPackB, round_up(nc, cfg.nr) * kKC);
+                pack_b(B, ldb, tb, pc, jc, kc, nc, cfg.nr, bpack);
+                return static_cast<const float*>(bpack);
+              });
+}
 
-  // Flattened (jc, ic) task grid: every task packs its own panels into
-  // thread-local scratch, so workers never share pack buffers. B sub-panels
-  // are re-packed once per row block of the same column block — redundant
-  // work that is O(k*n) against the O(m*n*k) compute it unlocks.
-  util::parallel_for(0, n_iblocks * n_jblocks, [&](std::size_t task) {
-    const std::size_t ic = (task % n_iblocks) * mc_blk;
-    const std::size_t jc = (task / n_iblocks) * kNC;
-    const std::size_t mc = std::min(mc_blk, m - ic);
-    const std::size_t nc = std::min(kNC, n - jc);
-    const std::size_t mc_padded = (mc + cfg.mr - 1) / cfg.mr * cfg.mr;
-    const std::size_t nc_padded = (nc + cfg.nr - 1) / cfg.nr * cfg.nr;
-    float* apack = scratch_f32(kScratchGemmPackA, mc_padded * kKC);
-    float* bpack = scratch_f32(kScratchGemmPackB, nc_padded * kKC);
-    for (std::size_t pc = 0; pc < k; pc += kKC) {
-      const std::size_t kc = std::min(kKC, k - pc);
-      pack_b(B, ldb, tb, pc, jc, kc, nc, cfg.nr, bpack);
-      pack_a(A, lda, ta, ic, pc, mc, kc, cfg.mr, apack);
-      cfg.macro(apack, bpack, mc, nc, kc, C + ic * ldc + jc, ldc);
-    }
-  }, 1);
+// Panel layout: column blocks of kNC in order; inside column block jc the
+// KC-deep blocks follow each other, each round_up(nc, NR) * kc floats — so
+// block (jc, pc) starts at jc/kNC full column blocks plus pc padded rows.
+PackedB::PackedB(Trans tb, std::size_t k, std::size_t n, const float* B, std::size_t ldb)
+    : k_(k), n_(n) {
+  const std::size_t nr = kernel().nr;
+  const std::size_t full = n / kNC, tail = n % kNC;
+  panels_.resize((full * round_up(kNC, nr) + round_up(tail, nr)) * k);
+  for (std::size_t jc = 0; jc < n; jc += kNC)
+    for (std::size_t pc = 0; pc < k; pc += kKC)
+      pack_b(B, ldb, tb, pc, jc, std::min(kKC, k - pc), std::min(kNC, n - jc), nr,
+             panels_.data() + offset(jc, pc));
+}
+
+std::size_t PackedB::offset(std::size_t jc, std::size_t pc) const {
+  const std::size_t nr = kernel().nr;
+  return (jc / kNC) * round_up(kNC, nr) * k_ + pc * round_up(std::min(kNC, n_ - jc), nr);
+}
+
+void gemm_packed(std::size_t m, const float* A, std::size_t lda, const PackedB& B, float* C,
+                 std::size_t ldc) {
+  if (m == 0 || B.n_ == 0 || B.k_ == 0) return;
+  const obs::ScopedTimer profile(gemm_hist());
+  run_blocked(kernel(), Trans::N, m, B.n_, B.k_, A, lda, C, ldc,
+              [&](std::size_t jc, std::size_t, std::size_t pc, std::size_t) {
+                return B.panels_.data() + B.offset(jc, pc);
+              });
 }
 
 }  // namespace hdczsc::tensor

@@ -10,22 +10,37 @@
 //     — each (column-block, row-block) task packs both panels into its own
 //     thread-local scratch, so B panels are re-packed once per row block of
 //     the same column block (redundancy that is O(k*n) against the O(m*n*k)
-//     compute it parallelizes race-free),
+//     compute it parallelizes race-free); a constant B (frozen weights) can
+//     instead be packed once up front (PackedB + gemm_packed),
 //   * a register-tiled MR x NR micro-kernel runs down the shared KC dimension
 //     with a local accumulator array the compiler keeps in vector registers.
 //
 // The micro-kernel is stamped out once per ISA (portable / AVX2+FMA /
 // AVX-512) with plain autovectorizable loops — no intrinsics — and the best
 // variant the CPU supports is selected once at runtime. Row blocks fan out
-// across util::parallel_for workers; transposed operands are handled inside
-// the packing routines so all variants share one kernel.
+// across util::parallel_for workers (products under kGemmInlineMacs stay on
+// the calling thread); transposed operands are handled inside the packing
+// routines so all variants share one kernel. How the work is split never
+// changes a C element's arithmetic: results are bitwise independent of the
+// worker count.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 namespace hdczsc::tensor {
 
 enum class Trans : unsigned char { N, T };
+
+/// Products of fewer multiply-adds (m·n·k) run gemm_naive's triple loop in
+/// gemm_accumulate: packing plus dispatch costs more than it saves there.
+inline constexpr std::size_t kGemmNaiveCutoff = 32 * 32 * 32;
+
+/// Products of fewer multiply-adds run their block-task grid on the calling
+/// thread instead of the worker pool: below ~2M multiply-adds a pool
+/// dispatch costs about as much as the work it would share (see DESIGN.md
+/// §6 "Threading model" for the measurement).
+inline constexpr std::size_t kGemmInlineMacs = std::size_t{1} << 21;
 
 /// C[m,n] += op(A) * op(B) with op(X) = X or X^T.
 ///
@@ -42,6 +57,32 @@ enum class Trans : unsigned char { N, T };
 void gemm_accumulate(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k,
                      const float* A, std::size_t lda, const float* B, std::size_t ldb, float* C,
                      std::size_t ldc);
+
+/// op(B) [k, n] packed once into the NR-wide column panels gemm_accumulate
+/// packs per call (the BLIS scheme's packed constant operand). Immutable
+/// after construction, so one pack may serve any number of threads. Holds
+/// about k·n floats (ragged panels zero-padded to the kernel's NR).
+class PackedB {
+ public:
+  /// Packs op(B) = B (Trans::N, B is [k, n]) or B^T (Trans::T, B is [n, k]).
+  PackedB(Trans tb, std::size_t k, std::size_t n, const float* B, std::size_t ldb);
+
+ private:
+  friend void gemm_packed(std::size_t m, const float* A, std::size_t lda, const PackedB& B,
+                          float* C, std::size_t ldc);
+  /// Index of the panels packed for column block jc, depth block pc.
+  std::size_t offset(std::size_t jc, std::size_t pc) const;
+
+  std::size_t k_, n_;
+  std::vector<float> panels_;
+};
+
+/// C[m, n] += A * op(B) for row-major A [m, k] and a pre-packed op(B).
+/// Always runs the blocked micro-kernel (never gemm_naive), on the same
+/// task grid as gemm_accumulate: bitwise equal to gemm_accumulate(N, tb, …)
+/// whenever that one takes the blocked path (m·n·k >= kGemmNaiveCutoff).
+void gemm_packed(std::size_t m, const float* A, std::size_t lda, const PackedB& B, float* C,
+                 std::size_t ldc);
 
 /// Reference implementation with the same contract (triple loop, no packing,
 /// no threading). Kept for equivalence tests and speedup benchmarks.

@@ -179,6 +179,25 @@ TEST(Evolution, AppendedEngineIsBitwiseAColdRebuild) {
                         "live append vs cold rebuild");
 }
 
+TEST(Evolution, OneRowAppendMatchesAColdBuildOnACancellationRow) {
+  // At d=64, expansion 4 a 1-row append is a 1·256·64 < 32³ product, while
+  // a cold build of four rows is not. Both must sign the pre-activations
+  // the same float kernel computes: for this row, R·x = ±1e8 ± 1 ∓ 1e8 is
+  // exactly ±1, but the float running sum rounds 1e8 ± 1 back to 1e8 and
+  // ends at 0, where a double accumulation keeps the -1 on a quarter of
+  // the code bits.
+  util::Rng rng(0xCA7CULL);
+  const Tensor base = Tensor::randn({3, kDim}, rng);
+  Tensor crafted({1, kDim});
+  crafted[0] = 1e8f;
+  crafted[1] = 1.0f;
+  crafted[2] = 1e8f;
+  const serve::PrototypeStore store(base, 4.0f, /*expansion=*/4);
+  const serve::PrototypeStore appended = store.append_rows(crafted);
+  const serve::PrototypeStore cold(concat_attrs(base, crafted), 4.0f, /*expansion=*/4);
+  EXPECT_EQ(appended.packed_copy(), cold.packed_copy());
+}
+
 // -- delta chains -------------------------------------------------------------
 
 TEST(Evolution, DeltaChainAppliesAndCompactsBitwise) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "hdc/hypervector.hpp"
@@ -118,10 +119,87 @@ TEST(Gemm, DeepKStaysWithinTolerance) {
 
 TEST(Gemm, MultiWorkerTaskGridMatchesReference) {
   // Force several pool workers so small-m products exercise the shrunken
-  // row-block task grid (single MC x NC block otherwise).
+  // row-block task grid (single MC x NC block otherwise). Both shapes sit
+  // above kGemmInlineMacs, so the grid really runs on the pool.
   util::set_worker_count(4);
   check_shape(64, 512, 300, 22);
-  check_shape(100, 100, 100, 23);
+  check_shape(130, 130, 130, 23);
+  util::set_worker_count(0);
+}
+
+/// Random row-major buffer of `n` N(0, 1) floats.
+std::vector<float> randn_vec(std::size_t n, util::Rng& rng) {
+  std::vector<float> v(n);
+  for (auto& x : v) x = static_cast<float>(rng.normal(0.0, 1.0));
+  return v;
+}
+
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Gemm, PackedEqualsAccumulateBitwise) {
+  // Every m around both kernels' MR (4 and 8) plus a multi-row-block one,
+  // ragged n (one and two NC column blocks), k below, at and past KC. Each
+  // n·k reaches kGemmNaiveCutoff, so gemm_accumulate takes the blocked
+  // path at every m — the only regime the packed entry promises to match.
+  util::Rng rng(24);
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    util::set_worker_count(workers);
+    for (Trans tb : {Trans::N, Trans::T}) {
+      for (std::size_t n : {131u, 1030u}) {
+        for (std::size_t k : {255u, 256u, 515u}) {
+          ASSERT_GE(n * k, tensor::kGemmNaiveCutoff);
+          const std::size_t ldb = tb == Trans::N ? n : k;
+          const std::vector<float> B = randn_vec(k * n, rng);
+          const tensor::PackedB packed(tb, k, n, B.data(), ldb);
+          for (std::size_t m : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 129u}) {
+            const std::vector<float> A = randn_vec(m * k, rng);
+            std::vector<float> want(m * n, 0.5f), got(m * n, 0.5f);
+            tensor::gemm_accumulate(Trans::N, tb, m, n, k, A.data(), k, B.data(), ldb,
+                                    want.data(), n);
+            tensor::gemm_packed(m, A.data(), k, packed, got.data(), n);
+            ASSERT_TRUE(bitwise_equal(got, want))
+                << "m=" << m << " n=" << n << " k=" << k << " tb=" << (tb == Trans::N ? 'N' : 'T')
+                << " workers=" << workers;
+          }
+        }
+      }
+    }
+  }
+  util::set_worker_count(0);
+}
+
+TEST(Gemm, InlineAndPooledGridsAgreeBitwise) {
+  // n·k = 2^16, so m = kGemmInlineMacs / 2^16 - 1 rows stay on the calling
+  // thread and m + 2 rows go to the pool. The shared rows of the two
+  // products must match bitwise, and match a single-worker run.
+  const std::size_t n = 256, k = 256;
+  const std::size_t m_inline = tensor::kGemmInlineMacs / (n * k) - 1, m_pooled = m_inline + 2;
+  ASSERT_LT(m_inline * n * k, tensor::kGemmInlineMacs);
+  ASSERT_GE(m_pooled * n * k, tensor::kGemmInlineMacs);
+  util::Rng rng(25);
+  const std::vector<float> A = randn_vec(m_pooled * k, rng), B = randn_vec(k * n, rng);
+  const tensor::PackedB packed(Trans::N, k, n, B.data(), n);
+  auto run = [&](std::size_t m, bool use_packed) {
+    std::vector<float> C(m * n, 0.0f);
+    if (use_packed)
+      tensor::gemm_packed(m, A.data(), k, packed, C.data(), n);
+    else
+      tensor::gemm_accumulate(Trans::N, Trans::N, m, n, k, A.data(), k, B.data(), n, C.data(),
+                              n);
+    return C;
+  };
+  for (bool use_packed : {false, true}) {
+    util::set_worker_count(1);
+    const std::vector<float> serial = run(m_pooled, use_packed);
+    util::set_worker_count(4);
+    const std::vector<float> pooled = run(m_pooled, use_packed);
+    const std::vector<float> inline_rows = run(m_inline, use_packed);
+    EXPECT_TRUE(bitwise_equal(pooled, serial)) << "packed=" << use_packed;
+    EXPECT_EQ(std::memcmp(inline_rows.data(), pooled.data(), m_inline * n * sizeof(float)), 0)
+        << "packed=" << use_packed;
+  }
   util::set_worker_count(0);
 }
 

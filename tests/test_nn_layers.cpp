@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
@@ -53,6 +56,28 @@ TEST(ReLU, ClampsNegative) {
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
+}
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+TEST(ReLU, PassesSignedZeroInfinityAndNaNBitForBit) {
+  // Only values that compare below zero clamp (to +0.0): -0.0 keeps its
+  // sign, +inf and NaN of either sign pass through, -inf clamps.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> in = {-0.0f, 0.0f, inf, -inf, nan, -nan, -1.5f, 2.5f, denorm, -denorm};
+  const std::vector<float> want = {-0.0f, 0.0f, inf, 0.0f, nan, -nan, 0.0f, 2.5f, denorm, 0.0f};
+  for (bool train : {false, true}) {
+    nn::ReLU relu;
+    const Tensor y = relu.forward(Tensor::from_vector(in), train);
+    for (std::size_t i = 0; i < in.size(); ++i)
+      EXPECT_EQ(bits_of(y[i]), bits_of(want[i])) << "input " << in[i] << " train " << train;
+  }
 }
 
 TEST(ReLU, GradientMasksNegative) {
@@ -137,6 +162,42 @@ TEST(Conv2d, Im2colColumnLayout) {
   EXPECT_FLOAT_EQ(cols[15], 9.0f);
 }
 
+TEST(Conv2d, Im2colMatchesPerElementReferenceAcrossStridesAndPads) {
+  // Every column entry is its input pixel or, where the window hangs over
+  // the border, zero — including kernels wider than the padded input row
+  // allows on one side, and rows spaced wider than they are long.
+  util::Rng rng(14);
+  const std::size_t channels = 2;
+  for (std::size_t h : {1u, 4u, 7u})
+    for (std::size_t w : {1u, 5u, 8u})
+      for (std::size_t k : {1u, 2u, 3u, 5u})
+        for (std::size_t stride : {1u, 2u, 3u})
+          for (std::size_t pad : {0u, 1u, 2u}) {
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;
+            const std::size_t oh = (h + 2 * pad - k) / stride + 1;
+            const std::size_t ow = (w + 2 * pad - k) / stride + 1;
+            const std::size_t row_stride = oh * ow + 3;
+            const Tensor x = Tensor::randn({channels, h, w}, rng);
+            std::vector<float> want(channels * k * k * row_stride, -7.0f), got = want;
+            for (std::size_t r = 0; r < channels * k * k; ++r) {
+              const std::size_t c = r / (k * k), ki = r / k % k, kj = r % k;
+              for (std::size_t oy = 0; oy < oh; ++oy)
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                  const long iy = static_cast<long>(oy * stride + ki) - static_cast<long>(pad);
+                  const long ix = static_cast<long>(ox * stride + kj) - static_cast<long>(pad);
+                  const bool inside = iy >= 0 && iy < static_cast<long>(h) && ix >= 0 &&
+                                      ix < static_cast<long>(w);
+                  want[r * row_stride + oy * ow + ox] =
+                      inside ? x.data()[(c * h + iy) * w + ix] : 0.0f;
+                }
+            }
+            nn::im2col(x.data(), channels, h, w, k, k, stride, pad, got.data(), row_stride);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+                << "h=" << h << " w=" << w << " k=" << k << " stride=" << stride
+                << " pad=" << pad;
+          }
+}
+
 TEST(Conv2d, Col2imInvertsOverlapCounts) {
   // col2im(im2col(x)) multiplies each pixel by its window multiplicity.
   std::vector<float> input(9);
@@ -194,6 +255,32 @@ TEST(BatchNorm, EvalUsesRunningStats) {
   Tensor x = Tensor::randn({4, 1, 3, 3}, rng);
   Tensor y_eval = bn.forward(x, false);  // fresh stats: mean 0, var 1
   EXPECT_LT(tensor::max_abs_diff(x, y_eval), 1e-2f);
+}
+
+TEST(BatchNorm, EvalIsTheRunningStatAffineAndCachesNothing) {
+  util::Rng rng(13);
+  nn::BatchNorm2d bn(3, 0.1f, 1e-3f);
+  *bn.buffers()[0].tensor = Tensor::randn({3}, rng);                      // running mean
+  *bn.buffers()[1].tensor = Tensor::rand_uniform({3}, rng, 0.5f, 2.0f);  // running var
+  bn.parameters()[0]->value = Tensor::randn({3}, rng, 1.0f, 0.5f);       // gamma
+  bn.parameters()[1]->value = Tensor::randn({3}, rng);                    // beta
+  const Tensor mean = bn.running_mean().clone(), var = bn.running_var().clone();
+  const Tensor x = Tensor::randn({2, 3, 4, 5}, rng);
+  const Tensor y = bn.forward(x, false);
+
+  // y = γ·((x − μ)·(1/√(σ² + ε))) + β, rounded step by step in float.
+  for (std::size_t b = 0; b < 2; ++b)
+    for (std::size_t c = 0; c < 3; ++c) {
+      const float is = 1.0f / std::sqrt(var[c] + bn.eps());
+      for (std::size_t i = 0; i < 20; ++i) {
+        const float xh = (x.at(b, c, i / 5, i % 5) - mean[c]) * is;
+        EXPECT_EQ(bits_of(y.at(b, c, i / 5, i % 5)), bits_of(bn.gamma()[c] * xh + bn.beta()[c]))
+            << "b=" << b << " c=" << c << " i=" << i;
+      }
+    }
+  EXPECT_EQ(tensor::max_abs_diff(bn.running_mean(), mean), 0.0f);
+  EXPECT_EQ(tensor::max_abs_diff(bn.running_var(), var), 0.0f);
+  EXPECT_THROW(bn.backward(y), std::logic_error);  // nothing cached for backward
 }
 
 TEST(MaxPool, SelectsWindowMax) {

@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 #include "core/pipeline.hpp"
 #include "hdc/hypervector.hpp"
 #include "serve/server.hpp"
 #include "tensor/ops.hpp"
+#include "util/parallel.hpp"
 
 namespace hdczsc {
 namespace {
@@ -271,6 +273,151 @@ TEST(InferenceEngine, BinaryArgmaxAgreesWithFloatOnTrainedModel) {
   const double gap = (static_cast<double>(facc) - static_cast<double>(bacc)) /
                      static_cast<double>(labels.size());
   EXPECT_LE(gap, 0.15) << "binary path lost too much accuracy";
+}
+
+// -- ModelSnapshot freezes (and packs) the image projection -----------------
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Rows [0, n) of a batch.
+Tensor first_rows(const Tensor& t, std::size_t n) {
+  tensor::Shape shape = t.shape();
+  shape[0] = n;
+  Tensor out(shape);
+  std::copy(t.data(), t.data() + out.numel(), out.data());
+  return out;
+}
+
+/// An image encoder holding `src`'s weights and BatchNorm statistics whose
+/// projection was never frozen, so its eval forward runs through matmul_nt.
+std::unique_ptr<core::ImageEncoder> unfrozen_copy(core::ImageEncoder& src,
+                                                  const core::ImageEncoderConfig& cfg) {
+  util::Rng rng(0);
+  auto copy = std::make_unique<core::ImageEncoder>(cfg, rng);
+  const auto dst_p = copy->parameters(), src_p = src.parameters();
+  for (std::size_t i = 0; i < dst_p.size(); ++i) dst_p[i]->value = src_p[i]->value.clone();
+  const auto dst_b = copy->buffers(), src_b = src.buffers();
+  for (std::size_t i = 0; i < dst_b.size(); ++i) *dst_b[i].tensor = src_b[i].tensor->clone();
+  return copy;
+}
+
+/// Eval forward layer by layer: each backbone layer, then the projection.
+Tensor layer_by_layer(core::ImageEncoder& enc, const Tensor& images) {
+  Tensor x = images;
+  for (std::size_t i = 0; i < enc.backbone().size(); ++i) x = enc.backbone()[i].forward(x, false);
+  return enc.projection()->forward(x, false);
+}
+
+/// A fresh untrained model with a packable projection (2048 x 64).
+struct FreshModel {
+  data::AttributeSpace space = data::AttributeSpace::toy(6, 3, 9);
+  core::ZscModelConfig cfg;
+  std::shared_ptr<core::ZscModel> model;
+  Tensor attributes;
+
+  explicit FreshModel(std::uint64_t seed) {
+    cfg.image.arch = "resnet_micro_flat";
+    cfg.image.proj_dim = 64;
+    util::Rng rng(seed);
+    model = core::make_zsc_model(cfg, space, rng);
+    attributes = Tensor::rand_uniform({5, space.n_attributes()}, rng);
+  }
+};
+
+TEST(ModelSnapshot, EmbedIsBitwiseTheUnfrozenLayerForwardAtEveryBatchAndWorkerCount) {
+  const auto& s = SharedServe::get();
+  core::ImageEncoder& served = s.tp.model->image_encoder();
+  ASSERT_TRUE(served.projection()->frozen_for_serving());
+  core::ImageEncoderConfig cfg;
+  cfg.arch = "resnet_micro_flat";
+  cfg.proj_dim = 256;
+  const auto reference = unfrozen_copy(served, cfg);
+  ASSERT_FALSE(reference->projection()->frozen_for_serving());
+
+  util::Rng rng(0x5EB0ULL);
+  const Tensor images = Tensor::randn({33, 3, 32, 32}, rng);
+  for (std::size_t batch : {1u, 2u, 3u, 16u, 33u}) {
+    const Tensor x = first_rows(images, batch);
+    util::set_worker_count(1);
+    const Tensor want = layer_by_layer(*reference, x);
+    for (std::size_t workers : {1u, 2u, 4u}) {
+      util::set_worker_count(workers);
+      EXPECT_TRUE(bitwise_equal(s.snapshot->embed(x), want))
+          << "B=" << batch << " workers=" << workers;
+    }
+  }
+  util::set_worker_count(0);
+}
+
+TEST(ModelSnapshot, ConcurrentFirstEmbedsBuildOnePack) {
+  // The pack is built by the first embed; threads racing into it must all
+  // serve the same, complete pack.
+  FreshModel f(0xF1A7ULL);
+  const auto reference = unfrozen_copy(f.model->image_encoder(), f.cfg.image);
+  const serve::ModelSnapshot snap(f.model, f.attributes);
+  util::Rng rng(0xF1A8ULL);
+  const Tensor x = Tensor::randn({2, 3, 32, 32}, rng);
+  const Tensor want = layer_by_layer(*reference, x);
+
+  constexpr std::size_t kThreads = 4;
+  std::atomic<bool> go{false};
+  std::vector<Tensor> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      got[t] = snap.embed(x);
+    });
+  go = true;
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_TRUE(bitwise_equal(got[t], want)) << t;
+}
+
+TEST(ModelSnapshot, FrozenProjectionRejectsTrainModeForwardByName) {
+  FreshModel f(0xF1A9ULL);
+  const serve::ModelSnapshot snap(f.model, f.attributes);
+  core::ImageEncoder& enc = f.model->image_encoder();
+  try {
+    enc.projection()->forward(Tensor({1, enc.backbone_feature_dim()}), /*train=*/true);
+    FAIL() << "train-mode forward on a frozen Linear must throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("Linear::forward"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("frozen"), std::string::npos) << e.what();
+  }
+  // The encoder refuses before its backbone runs, so the BatchNorm
+  // statistics the snapshot serves with do not move.
+  std::vector<Tensor> stats;
+  for (const nn::BufferRef& b : enc.buffers()) stats.push_back(b.tensor->clone());
+  util::Rng rng(0xF1AAULL);
+  const Tensor x = Tensor::randn({2, 3, 32, 32}, rng);
+  EXPECT_THROW(enc.forward(x, /*train=*/true), std::logic_error);
+  const auto after = enc.buffers();
+  for (std::size_t i = 0; i < stats.size(); ++i)
+    EXPECT_TRUE(bitwise_equal(*after[i].tensor, stats[i])) << after[i].name;
+  EXPECT_EQ(snap.embed(x).size(0), 2u);
+}
+
+TEST(ModelSnapshot, SnapshotBuiltAfterFurtherTrainingEmbedsTheNewWeights) {
+  // Eval forwards before the freeze point (an evaluation between training
+  // phases) must not capture the weights the snapshot later serves.
+  FreshModel f(0xF1ABULL);
+  core::ImageEncoder& enc = f.model->image_encoder();
+  util::Rng rng(0xF1ACULL);
+  const Tensor x = Tensor::randn({3, 3, 32, 32}, rng);
+  const Tensor before = enc.forward(x, /*train=*/false);
+
+  enc.forward(x, /*train=*/true);
+  enc.backward(Tensor::randn({3, f.cfg.image.proj_dim}, rng), /*through_backbone=*/false);
+  for (nn::Parameter* p : enc.projection_parameters()) p->value.add_scaled(p->grad, -0.5f);
+
+  const auto reference = unfrozen_copy(enc, f.cfg.image);
+  const serve::ModelSnapshot snap(f.model, f.attributes);
+  const Tensor served = snap.embed(x);
+  EXPECT_TRUE(bitwise_equal(served, layer_by_layer(*reference, x)));
+  EXPECT_FALSE(bitwise_equal(served, before));
 }
 
 // -- dynamic batcher ---------------------------------------------------------
