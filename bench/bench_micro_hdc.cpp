@@ -84,6 +84,43 @@ void BM_HammingMany(benchmark::State& state) {
 }
 BENCHMARK(BM_HammingMany)->Args({50, 256})->Args({200, 256})->Args({200, 2048})->Args({1000, 1536});
 
+void BM_HammingMulti(benchmark::State& state, const char* kernel) {
+  // The sharded exact scan's sweep (hdc::hamming_many_packed_multi): a
+  // batch of queries against one catalog shard's worth of code rows,
+  // pinned to one kernel variant so variants compare at each code width
+  // (64-bit words per row) and batch size.
+  const std::size_t words = static_cast<std::size_t>(state.range(0));
+  const std::size_t n_queries = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t kRows = 62500;
+  util::Rng rng(13);
+  std::vector<std::uint64_t> rows(kRows * words), queries(n_queries * words);
+  for (auto& w : rows) w = rng.next_u64();
+  for (auto& w : queries) w = rng.next_u64();
+  std::vector<std::uint32_t> out(n_queries * kRows);
+  hdc::set_hamming_kernel(kernel);
+  for (auto _ : state) {
+    hdc::hamming_many_packed_multi(queries.data(), n_queries, rows.data(), kRows, words,
+                                   out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  hdc::set_hamming_kernel("auto");
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(kRows * n_queries));
+}
+
+// One BM_HammingMulti/<variant> family per kernel variant this CPU runs.
+const bool hamming_multi_registered = [] {
+  for (const char* kernel : {"portable", "popcnt", "avx512"}) {
+    if (!hdc::set_hamming_kernel(kernel)) continue;
+    benchmark::RegisterBenchmark(("BM_HammingMulti/" + std::string(kernel)).c_str(),
+                                 BM_HammingMulti, kernel)
+        ->ArgsProduct({{1, 2, 3, 4, 8, 32}, {1, 2, 3, 4, 16}})
+        ->ArgNames({"words", "queries"});
+  }
+  hdc::set_hamming_kernel("auto");
+  return true;
+}();
+
 void BM_HammingManyVsLoop(benchmark::State& state) {
   // Baseline for BM_HammingMany: the same scan through the one-pair
   // BinaryHV::hamming API (per-row dispatch, no contiguous layout).

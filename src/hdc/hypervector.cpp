@@ -5,6 +5,10 @@
 #include <stdexcept>
 #include <string>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
+
 #include "obs/metrics.hpp"
 #include "util/parallel.hpp"
 
@@ -217,6 +221,153 @@ HDCZSC_DEFINE_HAMMING_KERNEL(portable, )
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HDCZSC_HAMMING_X86_DISPATCH 1
 HDCZSC_DEFINE_HAMMING_KERNEL(popcnt, __attribute__((target("popcnt"))))
+
+// The avx512 variant counts eight words per VPOPCNTQ (the vector popcount
+// of Muła, Kurz & Lemire, Comput. J. 2018) and scores each row against a
+// block of up to four queries per load, so a batch of 1–4 queries streams
+// the code rows once. Rows go eight at a time, laid out by width:
+//  * 1, 2, 4 or 8 words — rows in lanes: the eight rows fill `words`
+//    registers in memory order, each XORed with the query repeated across
+//    the register and counted;
+//  * more than 8 words — one register per row, accumulating its counts
+//    eight words at a time.
+// Either way each row's partial counts sit in consecutive lanes, and
+// log2 rounds of lane-transposing adds leave one count per row, so the
+// eight counts go out in one store instead of eight horizontal sums.
+// Widths 3, 5, 6 and 7 keep the popcnt loop: a row there straddles
+// registers, and reducing each row on its own measured slower than popcnt.
+#define HDCZSC_AVX512_HAMMING \
+  __attribute__((target("avx512f,avx512bw,avx512vl,avx512dq,avx512vpopcntdq,popcnt")))
+
+/// The first n ≤ 8 words at p, zero above; no word past p[n-1] is read.
+HDCZSC_AVX512_HAMMING inline __m512i load_words(const std::uint64_t* p, std::size_t n) {
+  return n >= 8 ? _mm512_loadu_si512(p)
+                : _mm512_maskz_loadu_epi64(static_cast<__mmask8>((1u << n) - 1), p);
+}
+
+/// Lane-transposing add: lane j of the result is s[2j] + s[2j+1] over the
+/// sixteen-lane sequence s = [a, b].
+HDCZSC_AVX512_HAMMING inline __m512i add_pairs(__m512i a, __m512i b) {
+  const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+  const __m512i odd = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
+  return _mm512_add_epi64(_mm512_permutex2var_epi64(a, even, b),
+                          _mm512_permutex2var_epi64(a, odd, b));
+}
+
+/// c[0..N) hold eight rows' partial counts in row order, N lanes per row:
+/// fold them to one lane per row and store the first n ≤ 8 as uint32.
+template <std::size_t N>
+HDCZSC_AVX512_HAMMING inline void fold_store(__m512i* c, std::size_t n, std::uint32_t* out) {
+  for (std::size_t width = N; width > 1; width /= 2)
+    for (std::size_t k = 0; k < width / 2; ++k) c[k] = add_pairs(c[2 * k], c[2 * k + 1]);
+  _mm512_mask_cvtepi64_storeu_epi32(out, static_cast<__mmask8>((1u << n) - 1), c[0]);
+}
+
+/// Rows in lanes, W ∈ {1,2,4,8}: out[q*stride + i] = popcount(query q ^
+/// row i) for NQ queries over n_rows rows.
+template <std::size_t W, std::size_t NQ>
+HDCZSC_AVX512_HAMMING void scan_lanes(const std::uint64_t* queries, const std::uint64_t* rows,
+                                      std::size_t n_rows, std::uint32_t* out,
+                                      std::size_t stride) {
+  // Query q repeated across the register: lane j holds word j % W.
+  const __m512i lane_word = _mm512_set_epi64(7 % W, 6 % W, 5 % W, 4 % W, 3 % W, 2 % W, 1 % W, 0);
+  __m512i qv[NQ];
+  for (std::size_t q = 0; q < NQ; ++q) {
+    const __m512i words = load_words(queries + q * W, W);
+    qv[q] = _mm512_permutex2var_epi64(words, lane_word, words);
+  }
+  for (std::size_t i = 0; i < n_rows; i += 8) {
+    const std::size_t n = std::min<std::size_t>(8, n_rows - i);
+    const std::uint64_t* block = rows + i * W;
+    __m512i r[W];
+    for (std::size_t k = 0; k < W; ++k)
+      r[k] = n * W > 8 * k ? load_words(block + 8 * k, n * W - 8 * k) : _mm512_setzero_si512();
+    for (std::size_t q = 0; q < NQ; ++q) {
+      __m512i c[W];
+      for (std::size_t k = 0; k < W; ++k)
+        c[k] = _mm512_popcnt_epi64(_mm512_xor_si512(r[k], qv[q]));
+      fold_store<W>(c, n, out + q * stride + i);
+    }
+  }
+}
+
+/// Rows wider than 8 words, same contract as scan_lanes. Each query
+/// re-reads the eight-row block from L1; the block comes from memory once.
+template <std::size_t NQ>
+HDCZSC_AVX512_HAMMING void scan_wide(const std::uint64_t* queries, const std::uint64_t* rows,
+                                     std::size_t n_rows, std::size_t words, std::uint32_t* out,
+                                     std::size_t stride) {
+  for (std::size_t i = 0; i < n_rows; i += 8) {
+    const std::size_t n = std::min<std::size_t>(8, n_rows - i);
+    for (std::size_t q = 0; q < NQ; ++q) {
+      const std::uint64_t* query = queries + q * words;
+      __m512i c[8];
+      for (std::size_t r = 0; r < 8; ++r) {
+        c[r] = _mm512_setzero_si512();
+        if (r >= n) continue;
+        const std::uint64_t* row = rows + (i + r) * words;
+        for (std::size_t w = 0; w < words; w += 8)
+          c[r] = _mm512_add_epi64(
+              c[r], _mm512_popcnt_epi64(_mm512_xor_si512(load_words(row + w, words - w),
+                                                         load_words(query + w, words - w))));
+      }
+      fold_store<8>(c, n, out + q * stride + i);
+    }
+  }
+}
+
+/// Widths the vector scans cover; every other width keeps the popcnt loop.
+bool avx512_width(std::size_t words) {
+  return words == 1 || words == 2 || words == 4 || words >= 8;
+}
+
+/// One block of NQ ≤ 4 queries over all rows, dispatched on the width.
+template <std::size_t NQ>
+HDCZSC_AVX512_HAMMING void block_avx512(const std::uint64_t* queries, const std::uint64_t* rows,
+                                        std::size_t n_rows, std::size_t words,
+                                        std::uint32_t* out, std::size_t stride) {
+  switch (words) {
+    case 1: return scan_lanes<1, NQ>(queries, rows, n_rows, out, stride);
+    case 2: return scan_lanes<2, NQ>(queries, rows, n_rows, out, stride);
+    case 4: return scan_lanes<4, NQ>(queries, rows, n_rows, out, stride);
+    case 8: return scan_lanes<8, NQ>(queries, rows, n_rows, out, stride);
+    default: return scan_wide<NQ>(queries, rows, n_rows, words, out, stride);
+  }
+}
+
+HDCZSC_AVX512_HAMMING void hamming_rows_avx512(const std::uint64_t* query,
+                                               const std::uint64_t* rows, std::size_t row_begin,
+                                               std::size_t row_end, std::size_t words,
+                                               std::uint32_t* out) {
+  if (!avx512_width(words))
+    return hamming_rows_popcnt(query, rows, row_begin, row_end, words, out);
+  block_avx512<1>(query, rows + row_begin * words, row_end - row_begin, words, out + row_begin,
+                  0);
+}
+
+HDCZSC_AVX512_HAMMING void hamming_multi_avx512(const std::uint64_t* queries,
+                                                std::size_t n_queries, const std::uint64_t* rows,
+                                                std::size_t n_rows, std::size_t words,
+                                                std::uint32_t* out) {
+  if (!avx512_width(words))
+    return hamming_multi_popcnt(queries, n_queries, rows, n_rows, words, out);
+  for (std::size_t q = 0; q < n_queries; q += 4) {
+    const std::uint64_t* qs = queries + q * words;
+    std::uint32_t* o = out + q * n_rows;
+    switch (std::min<std::size_t>(4, n_queries - q)) {
+      case 1: block_avx512<1>(qs, rows, n_rows, words, o, n_rows); break;
+      case 2: block_avx512<2>(qs, rows, n_rows, words, o, n_rows); break;
+      case 3: block_avx512<3>(qs, rows, n_rows, words, o, n_rows); break;
+      default: block_avx512<4>(qs, rows, n_rows, words, o, n_rows); break;
+    }
+  }
+}
+
+bool cpu_has_avx512_popcnt() {
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512dq") &&
+         __builtin_cpu_supports("avx512vpopcntdq") && __builtin_cpu_supports("popcnt");
+}
 #endif
 
 using HammingRowsFn = void (*)(const std::uint64_t*, const std::uint64_t*, std::size_t,
@@ -233,6 +384,8 @@ struct HammingKernels {
 HammingKernels pick_hamming_kernels() {
 #if defined(HDCZSC_HAMMING_X86_DISPATCH)
   __builtin_cpu_init();
+  if (cpu_has_avx512_popcnt())
+    return {hamming_rows_avx512, hamming_multi_avx512, "avx512"};
   if (__builtin_cpu_supports("popcnt"))
     return {hamming_rows_popcnt, hamming_multi_popcnt, "popcnt"};
 #endif
@@ -240,8 +393,8 @@ HammingKernels pick_hamming_kernels() {
 }
 
 /// Current selection — runtime-dispatched once, overridable via
-/// set_hamming_kernel (tests pin a variant to cover both code paths on
-/// whatever CPU runs them).
+/// set_hamming_kernel (tests pin a variant to cover every code path the
+/// CPU running them supports).
 HammingKernels& hamming_kernels() {
   static HammingKernels k = pick_hamming_kernels();
   return k;
@@ -264,6 +417,10 @@ bool set_hamming_kernel(const char* name) {
 #if defined(HDCZSC_HAMMING_X86_DISPATCH)
   if (want == "popcnt" && __builtin_cpu_supports("popcnt")) {
     hamming_kernels() = {hamming_rows_popcnt, hamming_multi_popcnt, "popcnt"};
+    return true;
+  }
+  if (want == "avx512" && cpu_has_avx512_popcnt()) {
+    hamming_kernels() = {hamming_rows_avx512, hamming_multi_avx512, "avx512"};
     return true;
   }
 #endif

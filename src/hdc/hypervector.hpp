@@ -156,12 +156,17 @@ void hamming_many_packed(const std::uint64_t* query, const std::uint64_t* rows,
                          std::size_t n_rows, std::size_t words, std::uint32_t* out);
 
 /// Query-blocked variant: out[q*n_rows + i] = popcount(queries[q] ^ rows[i])
-/// for n_queries packed queries laid out contiguously (`words` each). Each
-/// prototype row is loaded once per 4-query block and scored down four
-/// independent popcount chains — the memory-amortized form the sharded
-/// store's scatter uses to sweep a cache-resident shard with a whole batch
-/// (serve/sharded_store.hpp). Always runs on the calling thread; callers
-/// parallelize across shards, not inside the sweep.
+/// for n_queries packed queries laid out contiguously (`words` each) — the
+/// memory-amortized form the sharded store's scatter uses to sweep a shard
+/// with a whole batch (serve/sharded_store.hpp). The popcnt and portable
+/// variants read each row once per full 4-query block, down one popcount
+/// chain per query, and once more per leftover query. The avx512 variant
+/// takes the queries in blocks of up to four and reads each row once per
+/// block, so a batch of 1–4 queries streams the rows once; it scores eight
+/// rows at a time with VPOPCNTQ, laid out by width: 1, 2, 4 or 8 words per
+/// row as rows in lanes, wider rows one register per row. Widths 3, 5, 6
+/// and 7 take the popcnt variant whole. Always runs on the calling thread;
+/// callers parallelize across shards, not inside the sweep.
 void hamming_many_packed_multi(const std::uint64_t* queries, std::size_t n_queries,
                                const std::uint64_t* rows, std::size_t n_rows,
                                std::size_t words, std::uint32_t* out);
@@ -171,16 +176,21 @@ void hamming_many_packed_multi(const std::uint64_t* queries, std::size_t n_queri
 std::vector<std::size_t> hamming_many(const BinaryHV& query,
                                       const std::vector<BinaryHV>& prototypes);
 
-/// Name of the packed-scan kernel variant selected for this CPU
-/// ("popcnt" / "portable") — surfaced in benches and logs, mirroring
-/// tensor::gemm_kernel_name().
+/// Name of the packed-scan kernel variant selected for this CPU, picked
+/// once at runtime via __builtin_cpu_supports — "avx512" (AVX-512
+/// F/BW/VL/DQ + VPOPCNTDQ: eight words per instruction), "popcnt" (one
+/// word per POPCNT) or "portable" (std::popcount at the build's baseline
+/// ISA) — surfaced in benches and logs, mirroring
+/// tensor::gemm_kernel_name(). Distances are integer counts, so every
+/// variant returns identical results.
 const char* hamming_kernel_name();
 
 /// Testing/diagnostics hook: pin the packed-scan kernels to one variant —
-/// "portable", "popcnt", or "auto" to restore runtime dispatch. Returns
-/// false (changing nothing) when the variant is unknown or unsupported on
-/// this CPU/build. Not synchronized against concurrent scans; call from
-/// test or bench setup only, and restore "auto" afterwards.
+/// "portable", "popcnt", "avx512", or "auto" to restore runtime dispatch.
+/// Returns false (changing nothing) when the variant is unknown or
+/// unsupported on this CPU/build. Not synchronized against concurrent
+/// scans; call from test or bench setup only, and restore "auto"
+/// afterwards.
 bool set_hamming_kernel(const char* name);
 
 }  // namespace hdczsc::hdc

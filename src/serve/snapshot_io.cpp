@@ -1,8 +1,16 @@
 #include "serve/snapshot_io.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <vector>
@@ -373,10 +381,61 @@ std::shared_ptr<ModelSnapshot> load_snapshot(std::istream& is) {
   return snap;
 }
 
+namespace {
+
+/// fsync(2) of the file or directory at `path`; false, with errno set, on
+/// failure.
+bool sync_path(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  const int err = errno;
+  ::close(fd);
+  errno = err;
+  return ok;
+}
+
+/// Crash-safe artifact write. `write` fills a temp file in the same
+/// directory as `path`; the file is closed and checked (a failed final
+/// flush is an error here, where a stream's destructor would drop it),
+/// fsync'ed, renamed over `path`, and the directory is fsync'ed so the
+/// rename itself survives a crash. Until the rename, the previous artifact
+/// at `path` is untouched. On failure the temp file is removed and the
+/// error names `path`.
+template <typename Write>
+void write_file_atomically(const std::string& path, const char* op, Write&& write) {
+  static std::atomic<std::uint64_t> counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+  const auto fail = [&](const std::string& why) {
+    std::remove(tmp.c_str());
+    return std::runtime_error(std::string(op) + ": cannot write " + path + ": " + why);
+  };
+  {
+    std::ofstream f(tmp, std::ios::binary);
+    if (!f) throw fail("cannot create temp file " + tmp);
+    try {
+      write(f);
+    } catch (const std::exception& e) {
+      throw fail(e.what());
+    }
+    f.close();
+    if (!f) throw fail("write failed");
+  }
+  if (!sync_path(tmp, O_WRONLY)) throw fail(std::string("fsync: ") + std::strerror(errno));
+  if (std::rename(tmp.c_str(), path.c_str()) != 0)
+    throw fail(std::string("rename: ") + std::strerror(errno));
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  if (!sync_path(dir.empty() ? "." : dir.string(), O_RDONLY | O_DIRECTORY))
+    throw std::runtime_error(std::string(op) + ": wrote " + path +
+                             " but could not fsync its directory: " + std::strerror(errno));
+}
+
+}  // namespace
+
 void save_snapshot_file(const std::string& path, const ModelSnapshot& snap) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("save_snapshot_file: cannot open " + path);
-  save_snapshot(f, snap);
+  write_file_atomically(path, "save_snapshot_file",
+                        [&](std::ostream& os) { save_snapshot(os, snap); });
 }
 
 std::shared_ptr<ModelSnapshot> load_snapshot_file(const std::string& path) {
@@ -552,9 +611,8 @@ void save_delta(std::ostream& os, const SnapshotDelta& delta) {
 }
 
 void save_delta_file(const std::string& path, const SnapshotDelta& delta) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("save_delta_file: cannot open " + path);
-  save_delta(f, delta);
+  write_file_atomically(path, "save_delta_file",
+                        [&](std::ostream& os) { save_delta(os, delta); });
 }
 
 SnapshotDelta load_delta(std::istream& is) {

@@ -88,7 +88,12 @@ inline constexpr std::uint32_t kSnapshotVersion = 6;
 inline constexpr std::uint32_t kDeltaVersion = 1;
 
 /// Serialize a snapshot (model architecture + parameters + buffers + frozen
-/// prototype store) to a stream / file.
+/// prototype store) to a stream / file. The file savers (this one and
+/// save_delta_file) write a temp file next to `path`, check its close,
+/// fsync it and rename it over `path`, then fsync the directory: a crash
+/// or a failed write (disk full, file-size limit) leaves the previous
+/// artifact at `path` intact and no temp file behind, and throws
+/// std::runtime_error naming `path`.
 void save_snapshot(std::ostream& os, const ModelSnapshot& snap);
 void save_snapshot_file(const std::string& path, const ModelSnapshot& snap);
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <iostream>
 #include <thread>
 
 #include "core/pipeline.hpp"
@@ -97,60 +98,67 @@ std::uint32_t naive_hamming(const std::uint64_t* a, const std::uint64_t* b,
 }
 
 TEST(HammingMany, RaggedTailsMatchNaiveReferenceOnEveryDispatchPath) {
-  // The query-blocked kernel peels queries in blocks of 4 and the packed
-  // rows carry a masked tail word whenever the code width is not a
-  // multiple of 64 — sweep every remainder shape (n_queries % 4 ∈
-  // {0,1,2,3}, ragged widths) against a per-bit reference, pinned to each
-  // kernel variant the runtime dispatch can select. The pin is process-
-  // global, so restore runtime dispatch unconditionally — even when an
-  // assertion bails out of the test body early.
+  // The query-blocked kernels peel queries in blocks of 4, the avx512
+  // variant takes rows in blocks of 8 laid out by code width, and the
+  // packed rows carry a masked tail word whenever the code width is not a
+  // multiple of 64 — sweep every remainder shape (widths around each
+  // register layout, row counts around the 8-row blocks, 1..9 queries)
+  // against a per-bit reference, pinned to each kernel variant the
+  // runtime dispatch can select. Buffers are exactly sized, so a read past
+  // the last row or query is an ASan error. The pin is process-global, so
+  // restore runtime dispatch unconditionally — even when an assertion
+  // bails out of the test body early.
   struct RestoreDispatch {
     ~RestoreDispatch() { hdc::set_hamming_kernel("auto"); }
   } restore;
-  const std::vector<std::string> kernels = [] {
-    std::vector<std::string> k{"portable"};
-    if (hdc::set_hamming_kernel("popcnt")) k.push_back("popcnt");
-    hdc::set_hamming_kernel("auto");
-    return k;
-  }();
+  std::vector<std::string> kernels{"portable"}, skipped;
+  for (const char* name : {"popcnt", "avx512"})
+    (hdc::set_hamming_kernel(name) ? kernels : skipped).push_back(name);
+  hdc::set_hamming_kernel("auto");
   EXPECT_FALSE(hdc::set_hamming_kernel("no-such-kernel"));
+  std::cout << "[ kernels  ] ran:";
+  for (const std::string& k : kernels) std::cout << ' ' << k;
+  std::cout << "; unsupported here:";
+  for (const std::string& k : skipped) std::cout << ' ' << k;
+  std::cout << (skipped.empty() ? " none\n" : "\n");
 
   util::Rng rng(44);
-  for (const std::string& kernel : kernels) {
-    ASSERT_TRUE(hdc::set_hamming_kernel(kernel.c_str())) << kernel;
-    ASSERT_STREQ(hdc::hamming_kernel_name(), kernel.c_str());
-    for (std::size_t dim : {70u, 130u, 193u, 256u}) {  // three ragged, one exact
-      const std::size_t words = (dim + 63) / 64;
-      for (std::size_t n_queries : {1u, 2u, 3u, 5u, 6u, 7u, 8u}) {
-        const std::size_t n_rows = 23;
-        // BinaryHV::random masks the tail bits — exactly what the packed
-        // store's rows and encoded queries look like.
-        std::vector<std::uint64_t> rows, queries;
-        for (std::size_t i = 0; i < n_rows; ++i) {
-          const auto hv = hdc::BinaryHV::random(dim, rng);
-          rows.insert(rows.end(), hv.words().begin(), hv.words().end());
-        }
-        for (std::size_t q = 0; q < n_queries; ++q) {
-          const auto hv = hdc::BinaryHV::random(dim, rng);
-          queries.insert(queries.end(), hv.words().begin(), hv.words().end());
-        }
-        std::vector<std::uint32_t> multi(n_queries * n_rows), single(n_queries * n_rows);
-        hdc::hamming_many_packed_multi(queries.data(), n_queries, rows.data(), n_rows,
-                                       words, multi.data());
+  for (std::size_t words : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 16u, 31u, 32u, 33u}) {
+    // Ragged code widths on two widths in three; BinaryHV::random masks the
+    // tail bits — exactly what the packed store's rows and encoded queries
+    // look like.
+    const std::size_t dim = 64 * words - (words % 3) * 13;
+    const auto random_codes = [&](std::size_t n) {
+      std::vector<std::uint64_t> codes(n * words);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto hv = hdc::BinaryHV::random(dim, rng);
+        std::copy(hv.words().begin(), hv.words().end(), codes.begin() + i * words);
+      }
+      return codes;
+    };
+    for (std::size_t n_rows : {1u, 7u, 8u, 9u, 23u, 65u}) {
+      const std::vector<std::uint64_t> rows = random_codes(n_rows);
+      for (std::size_t n_queries = 1; n_queries <= 9; ++n_queries) {
+        const std::vector<std::uint64_t> queries = random_codes(n_queries);
+        std::vector<std::uint32_t> want(n_queries * n_rows);
         for (std::size_t q = 0; q < n_queries; ++q)
-          hdc::hamming_many_packed(queries.data() + q * words, rows.data(), n_rows, words,
-                                  single.data() + q * n_rows);
-        for (std::size_t q = 0; q < n_queries; ++q)
-          for (std::size_t i = 0; i < n_rows; ++i) {
-            const std::uint32_t want =
+          for (std::size_t i = 0; i < n_rows; ++i)
+            want[q * n_rows + i] =
                 naive_hamming(queries.data() + q * words, rows.data() + i * words, words);
-            ASSERT_EQ(multi[q * n_rows + i], want)
-                << kernel << " multi dim=" << dim << " q=" << q << "/" << n_queries
-                << " row=" << i;
-            ASSERT_EQ(single[q * n_rows + i], want)
-                << kernel << " single dim=" << dim << " q=" << q << "/" << n_queries
-                << " row=" << i;
-          }
+        for (const std::string& kernel : kernels) {
+          ASSERT_TRUE(hdc::set_hamming_kernel(kernel.c_str())) << kernel;
+          ASSERT_STREQ(hdc::hamming_kernel_name(), kernel.c_str());
+          std::vector<std::uint32_t> multi(n_queries * n_rows), single(n_queries * n_rows);
+          hdc::hamming_many_packed_multi(queries.data(), n_queries, rows.data(), n_rows, words,
+                                         multi.data());
+          for (std::size_t q = 0; q < n_queries; ++q)
+            hdc::hamming_many_packed(queries.data() + q * words, rows.data(), n_rows, words,
+                                     single.data() + q * n_rows);
+          ASSERT_EQ(multi, want) << kernel << " multi words=" << words << " rows=" << n_rows
+                                 << " queries=" << n_queries;
+          ASSERT_EQ(single, want) << kernel << " single words=" << words
+                                  << " rows=" << n_rows << " queries=" << n_queries;
+        }
       }
     }
   }

@@ -113,10 +113,12 @@ TEST(ShardedStore, FloatRankingSurvivesBlockedGemmScale) {
 
 TEST(ShardedStore, MultiQueryKernelMatchesPerQueryKernel) {
   // The query-blocked sweep must agree with the single-query kernel for
-  // every block-remainder shape (1..6 queries) and ragged word counts.
+  // every block-remainder shape (1..6 queries) and every width class of
+  // the avx512 layout: rows in lanes (1, 2, 4, 8 words), the popcnt loop
+  // (3), and one register per row (9, 32).
   util::Rng rng(5);
-  for (std::size_t words : {1u, 3u, 4u, 9u}) {
-    for (std::size_t n_queries : {1u, 2u, 4u, 5u, 6u}) {
+  for (std::size_t words : {1u, 2u, 3u, 4u, 8u, 9u, 32u}) {
+    for (std::size_t n_queries : {1u, 2u, 3u, 4u, 5u, 6u}) {
       const std::size_t n_rows = 37;
       std::vector<std::uint64_t> rows(n_rows * words), queries(n_queries * words);
       for (auto& w : rows) w = rng.next_u64();

@@ -5,9 +5,14 @@
 // must keep serving while models are hot-loaded/unloaded around it.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -467,6 +472,133 @@ TEST(SnapshotIO, QuantRecordCorruptionNeverLoadsQuietly) {
     EXPECT_THROW(serve::load_snapshot(in), std::runtime_error)
         << "flipped byte at " << off << " loaded anyway";
   }
+}
+
+// -- crash-safe saves --------------------------------------------------------
+
+/// Caps the size of any file this process writes (RLIMIT_FSIZE) with
+/// SIGXFSZ ignored, so a write past the cap fails with EFBIG instead of
+/// killing the process — the disk filling up mid-save. Restores the limit
+/// and the signal's disposition on scope exit.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    ok_ = getrlimit(RLIMIT_FSIZE, &old_limit_) == 0 &&
+          sigaction(SIGXFSZ, &ignore, &old_action_) == 0;
+    rlimit capped = old_limit_;
+    capped.rlim_cur = bytes;
+    ok_ = ok_ && setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+  ~FileSizeCap() {
+    setrlimit(RLIMIT_FSIZE, &old_limit_);
+    sigaction(SIGXFSZ, &old_action_, nullptr);
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit old_limit_{};
+  struct sigaction old_action_ {};
+  bool ok_ = false;
+};
+
+/// An empty directory of its own, so leftover temp files are visible.
+std::filesystem::path fresh_dir(const std::string& name) {
+  const std::filesystem::path dir = temp_path(name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::vector<std::string> dir_entries(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    names.push_back(e.path().filename().string());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Saves `next` over the artifact at `path` with the file size capped 9
+/// bytes short of it: the save must throw naming `path`, leave the bytes
+/// already at `path` as they were, and leave no temp file in `dir`.
+template <typename Save>
+void expect_failed_save_keeps_previous(const std::filesystem::path& dir,
+                                       const std::string& path, std::size_t next_bytes,
+                                       Save&& save) {
+  const std::string previous = read_file(path);
+  {
+    FileSizeCap cap(next_bytes - 9);
+    ASSERT_TRUE(cap.ok());
+    try {
+      save();
+      ADD_FAILURE() << "a save cut short by the file-size limit reported success";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+  }
+  const std::string after = read_file(path);
+  EXPECT_TRUE(after == previous) << "the artifact at " << path << " changed: "
+                                 << previous.size() << " -> " << after.size() << " bytes";
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{std::filesystem::path(path).filename()});
+}
+
+TEST(SnapshotIO, SnapshotSaveCutShortKeepsThePreviousArtifact) {
+  const std::filesystem::path dir = fresh_dir("failed_snapshot_save");
+  const std::string path = (dir / "model.hdcsnap").string();
+  Tiny old_t = make_tiny(61);
+  const serve::ModelSnapshot previous(old_t.model, old_t.a, /*binary_expansion=*/2);
+  serve::save_snapshot_file(path, previous);
+
+  Tiny t = make_tiny(62, "hdc", /*n_classes=*/12);
+  const serve::ModelSnapshot next(t.model, t.a, /*binary_expansion=*/2);
+  std::ostringstream next_bytes;
+  serve::save_snapshot(next_bytes, next);
+  expect_failed_save_keeps_previous(dir, path, next_bytes.str().size(),
+                                    [&] { serve::save_snapshot_file(path, next); });
+  const auto loaded = serve::load_snapshot_file(path);
+  EXPECT_EQ(loaded->n_classes(), previous.n_classes());
+  EXPECT_EQ(loaded->prototypes().packed_copy(), previous.prototypes().packed_copy());
+
+  // Uncapped, the same save replaces the artifact whole.
+  serve::save_snapshot_file(path, next);
+  EXPECT_TRUE(read_file(path) == next_bytes.str());
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"model.hdcsnap"});
+}
+
+serve::SnapshotDelta make_test_delta(std::size_t n_rows, std::uint64_t seed) {
+  util::Rng rng(seed);
+  serve::SnapshotDelta d;
+  d.base_rows = 7;
+  d.base_version = 3;
+  d.base_checksum = seed;
+  d.attributes = Tensor::rand_uniform({n_rows, 18}, rng);
+  d.normalized_rows = Tensor::randn({n_rows, 64}, rng);
+  d.packed_words.resize(n_rows * 2);
+  for (auto& w : d.packed_words) w = rng.next_u64();
+  d.new_checksum = seed + 1;
+  return d;
+}
+
+TEST(SnapshotIO, DeltaSaveCutShortKeepsThePreviousArtifact) {
+  const std::filesystem::path dir = fresh_dir("failed_delta_save");
+  const std::string path = (dir / "append.hdcdelta").string();
+  const serve::SnapshotDelta previous = make_test_delta(4, 71);
+  serve::save_delta_file(path, previous);
+
+  const serve::SnapshotDelta next = make_test_delta(9, 72);
+  std::ostringstream next_bytes;
+  serve::save_delta(next_bytes, next);
+  expect_failed_save_keeps_previous(dir, path, next_bytes.str().size(),
+                                    [&] { serve::save_delta_file(path, next); });
+  const serve::SnapshotDelta loaded = serve::load_delta_file(path);
+  EXPECT_EQ(loaded.n_new(), previous.n_new());
+  EXPECT_EQ(loaded.packed_words, previous.packed_words);
+  EXPECT_EQ(loaded.new_checksum, previous.new_checksum);
+
+  serve::save_delta_file(path, next);
+  EXPECT_TRUE(read_file(path) == next_bytes.str());
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"append.hdcdelta"});
 }
 
 // -- model registry ----------------------------------------------------------
