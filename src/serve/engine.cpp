@@ -73,7 +73,13 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const ModelSnapshot> snapshot,
   }
   v->penalty =
       v->store->resolve_penalty(effective_penalty(*v->store, v->seen_mask), v->seen_mask);
-  v->content_checksum = content_checksum(*v->store, v->seen_mask);
+  // Adopted, not re-hashed: the snapshot already holds the store's checksum.
+  v->content_checksum = snapshot_->content_checksum();
+  // Binary scoring encodes every query through the sign-LSH projection (an
+  // IVF index above has already built it for its centroid codes). Build it
+  // here, on the loading thread: left to the first served batch, it would
+  // add to that batch's latency and come from a serving thread's arena.
+  if (mode_ == ScoringMode::kBinaryHamming) v->store->projection();
   version_ = std::move(v);
 }
 

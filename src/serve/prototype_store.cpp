@@ -70,9 +70,8 @@ PrototypeStore::PrototypeStore(const tensor::Tensor& prototypes, float scale,
     // Signs are norm-invariant; pack the raw rows directly.
     pack_rows_into(prototypes, 0, n_classes_);
   } else {
-    util::Rng rng(lsh_seed);
-    projection_ = tensor::Tensor::rademacher({code_bits_, dim_}, rng);
-    pack_rows_into(lsh_project(prototypes, projection_), 0, n_classes_);
+    projection_ = std::make_shared<LazyProjection>();
+    pack_rows_into(lsh_project(prototypes, projection()), 0, n_classes_);
   }
 }
 
@@ -100,11 +99,19 @@ PrototypeStore PrototypeStore::from_parts(tensor::Tensor normalized_rows,
   s.packed_plane_ =
       std::make_shared<std::vector<std::uint64_t>>(std::move(packed_words));
   s.committed_ = std::make_shared<std::atomic<std::size_t>>(s.n_classes_);
-  if (s.expansion_ > 1) {
-    util::Rng rng(lsh_seed);
-    s.projection_ = tensor::Tensor::rademacher({s.code_bits_, s.dim_}, rng);
-  }
+  if (s.expansion_ > 1) s.projection_ = std::make_shared<LazyProjection>();
   return s;
+}
+
+const tensor::Tensor& PrototypeStore::projection() const {
+  static const tensor::Tensor kNone;
+  if (!projection_) return kNone;
+  std::call_once(projection_->once, [this] {
+    util::Rng rng(lsh_seed_);
+    projection_->r = tensor::Tensor::rademacher({code_bits_, dim_}, rng);
+    projection_->built.store(true);
+  });
+  return projection_->r;
 }
 
 PrototypeStore PrototypeStore::append_rows(const tensor::Tensor& raw_rows) const {
@@ -118,7 +125,7 @@ PrototypeStore PrototypeStore::append_rows(const tensor::Tensor& raw_rows) const
   if (expansion_ == 1) {
     pack_signs(raw_rows.data(), n_new, code_bits_, words_per_row_, packed.data());
   } else {
-    const tensor::Tensor projected = lsh_project(raw_rows, projection_);
+    const tensor::Tensor projected = lsh_project(raw_rows, projection());
     pack_signs(projected.data(), n_new, code_bits_, words_per_row_, packed.data());
   }
   return append_impl(normalized, packed);
@@ -265,7 +272,7 @@ hdc::BinaryHV PrototypeStore::encode_query(const float* row) const {
       if (row[j] < 0.0f) b.set(j, true);
     return b;
   }
-  const float* R = projection_.data();
+  const float* R = projection().data();
   for (std::size_t j = 0; j < code_bits_; ++j) {
     const float* prow = R + j * dim_;
     float acc = 0.0f;

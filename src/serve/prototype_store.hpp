@@ -56,6 +56,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "hdc/hypervector.hpp"
@@ -108,9 +109,10 @@ class PrototypeStore {
   /// already-normalized float rows and the already-packed binary words are
   /// adopted verbatim — nothing is recomputed, so the round trip is
   /// bit-identical on both scoring paths. The LSH projection (expansion > 1)
-  /// is regenerated deterministically from `lsh_seed`, exactly as the
-  /// building constructor derived it. Throws std::invalid_argument when the
-  /// parts disagree (packed size vs. [C, d] x expansion).
+  /// is not built here: projection() derives it from `lsh_seed` on first
+  /// use, exactly as the building constructor did. Throws
+  /// std::invalid_argument when the parts disagree (packed size vs. [C, d] x
+  /// expansion).
   static PrototypeStore from_parts(tensor::Tensor normalized_rows,
                                    std::vector<std::uint64_t> packed_words, float scale,
                                    std::size_t expansion, std::uint64_t lsh_seed);
@@ -176,6 +178,20 @@ class PrototypeStore {
   /// Encode one embedding row [d] into its D-bit binary code.
   hdc::BinaryHV encode_query(const float* row) const;
 
+  /// The sign-LSH projection R [D, d] (an empty tensor at expansion 1). R is
+  /// a pure function of lsh_seed(), built on the first call — by the
+  /// building constructor, the first binary encode or append, or a
+  /// binary-scoring InferenceEngine's constructor — and shared by every copy
+  /// of this store, appended versions included, so one lineage builds it at
+  /// most once. Concurrent first calls build it once. Float-only serving of
+  /// a loaded store never builds it.
+  const tensor::Tensor& projection() const;
+  /// Whether this lineage has built projection() yet (false at expansion 1,
+  /// which has no projection).
+  bool projection_built() const {
+    return projection_ && projection_->built.load();
+  }
+
   /// L2-normalized float rows, row-major with leading dimension dim() —
   /// valid for the visible prefix [0, n_classes()). The slab may extend
   /// beyond the prefix; never index past n_classes().
@@ -215,7 +231,13 @@ class PrototypeStore {
   float scale_ = 1.0f;
   std::size_t capacity_rows_ = 0;  // rows the slabs can hold
   tensor::Tensor float_plane_;     // [capacity, d] slab; rows [0, C) visible
-  tensor::Tensor projection_;      // [D, d] Rademacher (empty when expansion == 1)
+  /// R [D, d] Rademacher, built under `once` on first use (see projection()).
+  struct LazyProjection {
+    std::once_flag once;
+    std::atomic<bool> built{false};
+    tensor::Tensor r;
+  };
+  std::shared_ptr<LazyProjection> projection_;  // null when expansion == 1
   /// Packed slab [capacity * words_per_row]; shared across appended values.
   std::shared_ptr<std::vector<std::uint64_t>> packed_plane_;
   /// Rows claimed in the shared slabs (>= any sharing value's n_classes_);

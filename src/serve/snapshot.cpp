@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "serve/ann_store.hpp"
+#include "serve/store_version.hpp"
 
 namespace hdczsc::serve {
 
@@ -36,16 +37,19 @@ ModelSnapshot::ModelSnapshot(std::shared_ptr<core::ZscModel> model,
       store_(build_store(model_, class_attributes, binary_expansion)),
       preferred_shards_(preferred_shards == 0 ? 1 : preferred_shards) {
   adopt_seen_mask(std::move(seen_mask));
+  content_checksum_ = serve::content_checksum(*store_, seen_mask_);
   freeze_projection(*model_);
 }
 
 ModelSnapshot::ModelSnapshot(std::shared_ptr<core::ZscModel> model,
                              tensor::Tensor class_attributes, PrototypeStore store,
-                             std::size_t preferred_shards, std::vector<std::uint8_t> seen_mask)
+                             std::size_t preferred_shards, std::vector<std::uint8_t> seen_mask,
+                             std::uint64_t content_checksum)
     : model_(std::move(model)),
       class_attributes_(std::move(class_attributes)),
       store_(std::make_shared<const PrototypeStore>(std::move(store))),
-      preferred_shards_(preferred_shards == 0 ? 1 : preferred_shards) {
+      preferred_shards_(preferred_shards == 0 ? 1 : preferred_shards),
+      content_checksum_(content_checksum) {
   if (!model_) throw std::invalid_argument("ModelSnapshot: null model");
   if (model_->dim() != store_->dim())
     throw std::invalid_argument("ModelSnapshot: model dim " + std::to_string(model_->dim()) +

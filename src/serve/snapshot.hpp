@@ -6,7 +6,11 @@
 //    cost that dominates naive `class_logits` serving),
 //  * the PrototypeStore build (normalized float rows + bit-packed binary
 //    rows),
-// and freezes the similarity temperature and the image encoder's projection
+// plus the store's content checksum (serve::content_checksum over the
+// prototype rows and seen bytes), which the serving stack adopts instead of
+// re-hashing the store: engines seed their version-0 checksum from it and
+// save_snapshot / compact_snapshot write and chain it. The snapshot also
+// freezes the similarity temperature and the image encoder's projection
 // FC (nn::Linear::freeze_for_serving): from then on a train-mode forward
 // through the model throws, and the FC weight is packed once into the GEMM
 // panel layout on the first image embed (endpoints that only receive
@@ -43,13 +47,16 @@ class ModelSnapshot {
                 const tensor::Tensor& class_attributes, std::size_t binary_expansion = 1,
                 std::size_t preferred_shards = 1, std::vector<std::uint8_t> seen_mask = {});
 
-  /// Reconstituting constructor (snapshot_io load path): adopt an
-  /// already-built PrototypeStore instead of re-encoding ϕ(A) — the store
-  /// carries the exact serialized rows, so a loaded snapshot scores
-  /// bit-identically to the one that was saved.
+  /// Reconstituting constructor (snapshot_io load and compaction paths):
+  /// adopt an already-built PrototypeStore instead of re-encoding ϕ(A) — the
+  /// store carries the exact serialized rows, so a loaded snapshot scores
+  /// bit-identically to the one that was saved. `content_checksum` must be
+  /// content_checksum(store, seen_mask); it is adopted, not recomputed —
+  /// the caller already holds it (load_snapshot verified or computed it,
+  /// compact_snapshot chained it).
   ModelSnapshot(std::shared_ptr<core::ZscModel> model, tensor::Tensor class_attributes,
-                PrototypeStore store, std::size_t preferred_shards = 1,
-                std::vector<std::uint8_t> seen_mask = {});
+                PrototypeStore store, std::size_t preferred_shards,
+                std::vector<std::uint8_t> seen_mask, std::uint64_t content_checksum);
 
   std::size_t n_classes() const { return store_->n_classes(); }
   std::size_t dim() const { return store_->dim(); }
@@ -135,6 +142,10 @@ class ModelSnapshot {
   /// lineage. Engines seed their live version counter from it.
   std::uint64_t store_version() const { return store_version_; }
   void set_store_version(std::uint64_t v) { store_version_ = v; }
+  /// serve::content_checksum of the store and seen mask, computed once at
+  /// build (or adopted from the loader / compaction chain) — the version-0
+  /// anchor of every engine's delta chain and the value a v6 save writes.
+  std::uint64_t content_checksum() const { return content_checksum_; }
   /// Auto-calibrated GZSL seen-penalty persisted alongside (0 = none) —
   /// engines without an explicit penalty or a validation split serve it.
   float calibrated_penalty() const { return calibrated_penalty_; }
@@ -151,6 +162,7 @@ class ModelSnapshot {
   std::shared_ptr<const PrototypeStore> store_;
   std::size_t preferred_shards_ = 1;
   std::uint64_t store_version_ = 0;  // v6 lineage counter
+  std::uint64_t content_checksum_ = 0;  // content_checksum(*store_, seen_mask_)
   float calibrated_penalty_ = 0.0f;  // v6 persisted auto-calibration
   std::vector<std::uint8_t> seen_mask_;  // [C] (1 = seen) or empty = all seen
   std::size_t n_seen_ = 0;               // popcount of seen_mask_ (cached)

@@ -206,7 +206,7 @@ void save_snapshot(std::ostream& os, const ModelSnapshot& snap) {
   // integrity check over the prototype rows + seen bytes).
   write_pod<std::uint64_t>(os, snap.store_version());
   write_pod<float>(os, snap.calibrated_penalty());
-  write_pod<std::uint64_t>(os, content_checksum(store, snap.seen_mask()));
+  write_pod<std::uint64_t>(os, snap.content_checksum());
   os.write(kEndMarker, 4);
   if (!os) throw std::runtime_error("save_snapshot: write failed");
 }
@@ -365,12 +365,16 @@ std::shared_ptr<ModelSnapshot> load_snapshot(std::istream& is) {
     throw std::runtime_error("snapshot_io: prototype store rows (" +
                              std::to_string(store.n_classes()) +
                              ") != class-attribute rows (" + std::to_string(a.size(0)) + ")");
-  if (h.version >= 6 && content_checksum(store, seen_mask) != stored_checksum)
+  // The load's one pass over the prototype rows: a v6 file's stored
+  // checksum is verified against it, a pre-v6 file's is computed, and the
+  // snapshot adopts the value either way.
+  const std::uint64_t checksum = content_checksum(store, seen_mask);
+  if (h.version >= 6 && checksum != stored_checksum)
     throw std::runtime_error(
         "snapshot_io: corrupt record 'content checksum': the stored prototype rows do not "
         "hash to the stated checksum");
   auto snap = std::make_shared<ModelSnapshot>(std::move(model), std::move(a), std::move(store),
-                                              shards, std::move(seen_mask));
+                                              shards, std::move(seen_mask), checksum);
   if (quant) snap->attach_quantized(std::move(quant));
   // The reconstituted index borrows the snapshot's own (heap-held) store.
   if (ivf.present)
@@ -704,7 +708,7 @@ std::shared_ptr<ModelSnapshot> compact_snapshot(const ModelSnapshot& base,
   std::vector<std::uint8_t> mask = base.seen_mask();
   tensor::Tensor attrs = base.class_attributes();
   std::uint64_t version = base.store_version();
-  std::uint64_t checksum = content_checksum(store, mask);
+  std::uint64_t checksum = base.content_checksum();
   std::vector<std::uint32_t> assignments;
   if (base.has_ivf()) assignments = base.ivf()->assignments();
 
@@ -760,7 +764,7 @@ std::shared_ptr<ModelSnapshot> compact_snapshot(const ModelSnapshot& base,
 
   auto snap = std::make_shared<ModelSnapshot>(base.model_ptr(), std::move(attrs),
                                               std::move(store), base.preferred_shards(),
-                                              std::move(mask));
+                                              std::move(mask), checksum);
   if (base.has_quantized()) snap->attach_quantized(base.quantized());
   if (base.has_ivf())
     snap->attach_ivf(std::make_shared<const IvfIndex>(IvfIndex::from_parts(

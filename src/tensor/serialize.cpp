@@ -77,14 +77,20 @@ Tensor load_tensor(std::istream& is) {
   const auto rank = read_pod<std::uint32_t>(is);
   if (rank > 8) throw std::runtime_error("load_tensor: implausible rank");
   if (rank == 0) return Tensor();  // empty tensor (rank-0 record carries no data)
+  // Each declared dim is bounded before it is multiplied in, so a product
+  // that would wrap (or merely exceed the cap) is rejected by name instead
+  // of wrapping to a small element count that passes every later check.
+  constexpr std::uint64_t kMaxElements = std::uint64_t{1} << 31;
   Shape shape(rank);
-  std::size_t numel = 1;
+  std::uint64_t numel = 1;
   for (auto& d : shape) {
-    d = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
-    numel *= d;
+    const auto dim = read_pod<std::uint64_t>(is);
+    if (dim > kMaxElements || (numel != 0 && dim > kMaxElements / numel))
+      throw std::runtime_error("load_tensor: implausible element count (declared dim " +
+                               std::to_string(dim) + " overflows the 2^31-element cap)");
+    d = static_cast<std::size_t>(dim);
+    numel *= dim;
   }
-  if (numel > (std::size_t{1} << 31))
-    throw std::runtime_error("load_tensor: implausible element count");
   io::check_readable(is, numel, sizeof(float), "tensor data");
   Tensor t(shape);
   is.read(reinterpret_cast<char*>(t.data()),

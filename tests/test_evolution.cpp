@@ -196,6 +196,19 @@ TEST(Evolution, OneRowAppendMatchesAColdBuildOnACancellationRow) {
   const serve::PrototypeStore appended = store.append_rows(crafted);
   const serve::PrototypeStore cold(concat_attrs(base, crafted), 4.0f, /*expansion=*/4);
   EXPECT_EQ(appended.packed_copy(), cold.packed_copy());
+
+  // One more input: the same store saved and loaded as a snapshot. A load
+  // does not build R, so the append goes through a copy taken before the
+  // loaded lineage ever built it, and builds it from the persisted seed.
+  const ModelSnapshot saved(make_model(kAlpha, kDim), rand_attrs(3, 0x5EEDULL), store, 1, {},
+                            serve::content_checksum(store, {}));
+  std::stringstream ss;
+  serve::save_snapshot(ss, saved);
+  const auto loaded = serve::load_snapshot(ss);
+  const serve::PrototypeStore copy = loaded->prototypes();
+  ASSERT_FALSE(copy.projection_built());
+  EXPECT_EQ(copy.append_rows(crafted).packed_copy(), cold.packed_copy());
+  EXPECT_TRUE(loaded->prototypes().projection_built()) << "copies share one build of R";
 }
 
 // -- delta chains -------------------------------------------------------------
@@ -256,6 +269,35 @@ TEST(Evolution, DeltaChainAppliesAndCompactsBitwise) {
   auto reloaded = serve::load_snapshot(snap_ss);
   EXPECT_EQ(reloaded->store_version(), 2u);
   EXPECT_EQ(reloaded->prototypes().packed_copy(), v2->store->packed_copy());
+}
+
+TEST(Evolution, CompactedSnapshotCarriesTheLiveChainsChecksum) {
+  // Compaction chains the checksum link by link from the base snapshot's
+  // carried value; the compacted snapshot adopts the chain's end, which
+  // must be exactly the live writer's and a full re-hash's.
+  auto snapshot = make_gzsl(9, 4);
+  const InferenceEngine writer(snapshot);
+  const auto v0 = writer.pin();
+  EXPECT_EQ(v0->content_checksum, snapshot->content_checksum());
+  const auto v1 = writer.append_classes(rand_attrs(3, 0xD3ULL), {0, 1, 0});
+  const auto v2 = writer.append_classes(rand_attrs(4, 0xD4ULL));
+  auto compacted = serve::compact_snapshot(
+      *snapshot, {serve::make_delta(*v0, *v1), serve::make_delta(*v1, *v2)});
+  EXPECT_EQ(compacted->content_checksum(), v2->content_checksum);
+  EXPECT_EQ(compacted->content_checksum(),
+            serve::content_checksum(compacted->prototypes(), compacted->seen_mask()));
+  EXPECT_EQ(InferenceEngine(compacted).pin()->content_checksum, v2->content_checksum);
+
+  // The compacted artifact saves the carried value; a reload verifies and
+  // re-adopts it, and a second save is byte-identical to the first.
+  std::stringstream first;
+  serve::save_snapshot(first, *compacted);
+  const std::string first_bytes = first.str();
+  auto reloaded = serve::load_snapshot(first);
+  EXPECT_EQ(reloaded->content_checksum(), v2->content_checksum);
+  std::stringstream second;
+  serve::save_snapshot(second, *reloaded);
+  EXPECT_TRUE(second.str() == first_bytes) << "save -> load -> save drifted";
 }
 
 TEST(Evolution, MismatchedDeltaRejectedWithNothingPublished) {

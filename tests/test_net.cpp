@@ -92,6 +92,43 @@ serve::InferResult sample_result() {
   return res;
 }
 
+/// Offset of a tensor record's first u64 dim from the start of the record
+/// ("HDCT" magic, u32 version, u32 rank, then the dims).
+constexpr std::size_t kTensorDimsOffset = 4 + 4 + 4;
+
+/// A 67-byte request payload whose image record declares
+/// [3, 2^63 + 1, 2^63 + 1] but carries 3 floats: the dims' product wraps to
+/// 3 in 64 bits, so only a per-multiply overflow check can tell.
+std::vector<char> wrapped_dims_request_frame(const std::string& key) {
+  serve::InferRequest req;
+  req.model_key = key;
+  req.k = 1;
+  req.request_id = 7;
+  req.input = Tensor({3, 1, 1});
+  std::vector<char> frame = net::encode_request_frame(req);
+  // model key (u32 length + bytes), u32 k, u8 scoring, u8 want_logits,
+  // u64 request id, then the tensor record.
+  const std::size_t tensor_off = net::kHeaderBytes + 4 + key.size() + 4 + 1 + 1 + 8;
+  const std::uint64_t dims[3] = {3, (std::uint64_t{1} << 63) + 1, (std::uint64_t{1} << 63) + 1};
+  std::memcpy(frame.data() + tensor_off + kTensorDimsOffset, dims, sizeof(dims));
+  return frame;
+}
+
+/// A kAppendClasses frame whose attribute record declares [2^61 + 1, 312]
+/// but carries 312 floats (the product wraps to 312).
+std::vector<char> wrapped_dims_append_frame(const std::string& key) {
+  net::AppendRequest req;
+  req.model_key = key;
+  req.request_id = 9;
+  req.attributes = Tensor({1, 312});
+  std::vector<char> frame = net::encode_append_request_frame(req);
+  // model key, u64 request id, u32 seen-flag count (0), then the record.
+  const std::size_t tensor_off = net::kHeaderBytes + 4 + key.size() + 8 + 4;
+  const std::uint64_t rows = (std::uint64_t{1} << 61) + 1;
+  std::memcpy(frame.data() + tensor_off + kTensorDimsOffset, &rows, sizeof(rows));
+  return frame;
+}
+
 TEST(NetProtocol, HeaderCodecRoundTrip) {
   char buf[net::kHeaderBytes];
   net::encode_header(buf, net::FrameType::kInferRequest, 1234);
@@ -236,6 +273,19 @@ TEST(NetProtocol, DeclaredLengthLiesAreRejectedBeforeAllocation) {
       net::kHeaderBytes + 4 + sample_request().model_key.size() + 4;
   frame[scoring_off] = 17;
   EXPECT_THROW(net::decode_request_payload(frame.data() + net::kHeaderBytes, h.payload_bytes),
+               net::ProtocolError);
+
+  // Tensor dims whose product wraps past 2^64 to the element count the
+  // frame really carries: rejected, not decoded as a huge image or a huge
+  // append over a few floats.
+  frame = wrapped_dims_request_frame("m");
+  ASSERT_EQ(frame.size(), net::kHeaderBytes + 67);
+  EXPECT_THROW(net::decode_request_payload(frame.data() + net::kHeaderBytes,
+                                           frame.size() - net::kHeaderBytes),
+               net::ProtocolError);
+  frame = wrapped_dims_append_frame("m");
+  EXPECT_THROW(net::decode_append_request_payload(frame.data() + net::kHeaderBytes,
+                                                  frame.size() - net::kHeaderBytes),
                net::ProtocolError);
 }
 
@@ -386,9 +436,38 @@ TEST(NetLoopback, MalformedFrameAnswersBadFrameAndServerSurvives) {
   EXPECT_EQ(net::decode_header(resp_header).type, net::FrameType::kInferResponse);
   pong.reset();
 
+  // Frames whose tensor dims wrap to the few floats they carry, addressed
+  // to a served model: an image request (decoded, it would send the stem
+  // conv far past its 3-float buffer) and an append. Both answer kBadFrame.
+  for (const bool append : {false, true}) {
+    net::Fd conn = net::tcp_connect("127.0.0.1", s.server->port());
+    const std::vector<char> frame =
+        append ? wrapped_dims_append_frame("float") : wrapped_dims_request_frame("float");
+    ASSERT_TRUE(net::send_all(conn.get(), frame.data(), frame.size()));
+    ASSERT_TRUE(net::recv_all(conn.get(), resp_header, sizeof(resp_header)));
+    const net::FrameHeader rh = net::decode_header(resp_header);
+    std::vector<char> body(rh.payload_bytes);
+    ASSERT_TRUE(net::recv_all(conn.get(), body.data(), body.size()));
+    if (append) {
+      ASSERT_EQ(rh.type, net::FrameType::kAppendResponse);
+      EXPECT_EQ(net::decode_append_response_payload(body.data(), body.size()).status,
+                serve::InferStatus::kBadFrame);
+    } else {
+      ASSERT_EQ(rh.type, net::FrameType::kInferResponse);
+      EXPECT_EQ(net::decode_response_payload(body.data(), body.size()).status,
+                serve::InferStatus::kBadFrame);
+    }
+  }
+  EXPECT_EQ(s.registry->engine("float")->store_version(), 0u) << "nothing was appended";
+
   // The server is intact: a fresh well-behaved connection still serves.
   net::NetClient client("127.0.0.1", s.server->port());
   EXPECT_TRUE(client.ping());
+  serve::InferRequest req;
+  req.model_key = "float";
+  util::Rng rng(59);
+  req.input = Tensor::randn({s.snapshot->dim()}, rng);
+  EXPECT_TRUE(client.infer(std::move(req)).ok());
   client.close();
 }
 

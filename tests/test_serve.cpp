@@ -8,11 +8,13 @@
 #include <atomic>
 #include <cstring>
 #include <iostream>
+#include <sstream>
 #include <thread>
 
 #include "core/pipeline.hpp"
 #include "hdc/hypervector.hpp"
 #include "serve/server.hpp"
+#include "serve/snapshot_io.hpp"
 #include "tensor/ops.hpp"
 #include "util/parallel.hpp"
 
@@ -166,6 +168,11 @@ TEST(HammingMany, RaggedTailsMatchNaiveReferenceOnEveryDispatchPath) {
 
 // -- prototype store ---------------------------------------------------------
 
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
 TEST(PrototypeStore, BinaryEqualsFloatExactlyOnBipolarData) {
   // For ±1-valued prototypes and queries, cosine == 1 - 2·hamming/d exactly,
   // so the two scoring paths must coincide (and share their argmax).
@@ -193,6 +200,63 @@ TEST(PrototypeStore, BinaryRowsMatchSignBits) {
   }
   // Packed binary is ~32x smaller than fp32.
   EXPECT_LT(store.binary_bytes() * 16, store.float_bytes());
+}
+
+/// A fresh load of `snap` through the .hdcsnap format: a new store lineage
+/// whose sign-LSH projection has not been built yet.
+std::shared_ptr<const serve::ModelSnapshot> reload(const serve::ModelSnapshot& snap) {
+  std::stringstream ss;
+  serve::save_snapshot(ss, snap);
+  return serve::load_snapshot(ss);
+}
+
+TEST(PrototypeStore, ConcurrentFirstBinaryScoresOnALoadedStoreBuildOneProjection) {
+  // Four threads race the first score_binary on a freshly loaded
+  // expansion-8 store: each must get the logits of the in-process build,
+  // bit for bit, from one R that is bitwise the building constructor's.
+  const auto& s = SharedServe::get();
+  const serve::PrototypeStore& built = s.snapshot_expanded->prototypes();
+  const auto loaded = reload(*s.snapshot_expanded);
+  const serve::PrototypeStore& store = loaded->prototypes();
+  ASSERT_EQ(store.expansion(), 8u);
+  ASSERT_FALSE(store.projection_built());
+  util::Rng rng(0x1A2BULL);
+  const Tensor emb = Tensor::randn({3, store.dim()}, rng);
+  const Tensor want = built.score_binary(emb);
+
+  constexpr std::size_t kThreads = 4;
+  std::atomic<bool> go{false};
+  std::vector<Tensor> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      got[t] = store.score_binary(emb);
+    });
+  go = true;
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_TRUE(bitwise_equal(got[t], want)) << t;
+  EXPECT_TRUE(store.projection_built());
+  EXPECT_TRUE(bitwise_equal(store.projection(), built.projection()));
+}
+
+TEST(PrototypeStore, LoadedProjectionIsBuiltOnlyForEnginesThatEncodeQueries) {
+  // A float engine never needs R, so serving one from a loaded snapshot
+  // never builds it; a binary engine builds it in its constructor, on the
+  // loading thread, so no served batch pays for it.
+  const auto& s = SharedServe::get();
+  const auto loaded = reload(*s.snapshot_expanded);
+  util::Rng rng(0x1A2CULL);
+  const Tensor emb = Tensor::randn({2, loaded->dim()}, rng);
+  const serve::InferenceEngine float_engine(loaded, serve::ScoringMode::kFloatCosine);
+  float_engine.classify_batch(emb);
+  float_engine.topk_batch(emb, 3);
+  EXPECT_FALSE(loaded->prototypes().projection_built());
+
+  const serve::InferenceEngine binary_engine(loaded, serve::ScoringMode::kBinaryHamming);
+  EXPECT_TRUE(loaded->prototypes().projection_built());
+  const serve::InferenceEngine reference(s.snapshot_expanded, serve::ScoringMode::kBinaryHamming);
+  EXPECT_TRUE(bitwise_equal(binary_engine.logits(emb), reference.logits(emb)));
 }
 
 // -- engine vs. model: bit-identical batched inference -----------------------
@@ -284,11 +348,6 @@ TEST(InferenceEngine, BinaryArgmaxAgreesWithFloatOnTrainedModel) {
 }
 
 // -- ModelSnapshot freezes (and packs) the image projection -----------------
-
-bool bitwise_equal(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
-}
 
 /// Rows [0, n) of a batch.
 Tensor first_rows(const Tensor& t, std::size_t n) {

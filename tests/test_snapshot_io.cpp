@@ -405,6 +405,19 @@ TEST(SnapshotIO, CrossVersionLoadMatrixV1ToV6) {
         << "v" << version << " scores diverged";
     EXPECT_FALSE(loaded->has_ivf()) << "v" << version;
 
+    // The loader hashes the rows once (verifying v6, computing v1..v5) and
+    // every consumer adopts that value: an engine's version 0, and the
+    // next save — which reproduces the current-format file byte for byte.
+    const std::uint64_t want_sum =
+        serve::content_checksum(loaded->prototypes(), loaded->seen_mask());
+    EXPECT_EQ(loaded->content_checksum(), want_sum) << "v" << version;
+    EXPECT_EQ(loaded->content_checksum(), snap.content_checksum()) << "v" << version;
+    const serve::InferenceEngine engine(loaded);
+    EXPECT_EQ(engine.pin()->content_checksum, want_sum) << "v" << version;
+    std::stringstream resaved;
+    serve::save_snapshot(resaved, *loaded);
+    EXPECT_TRUE(resaved.str() == v6) << "v" << version << " save -> load -> save drifted";
+
     std::istringstream in2(bytes);
     const auto info = serve::inspect_snapshot(in2);
     EXPECT_EQ(info.version, version);
@@ -643,6 +656,67 @@ TEST(ModelRegistry, NeverRegistersAHalfLoadedModel) {
   ASSERT_EQ(r.status, serve::InferStatus::kOk);
   ASSERT_FALSE(r.topk.empty());
   EXPECT_EQ(r.topk[0].label, registry.engine("m")->classify_batch(probe_images(1))[0].label);
+}
+
+TEST(SnapshotIO, CorruptPrototypePlanesFailTheContentChecksum) {
+  // The v6 checksum is the only guard over the prototype planes' payload:
+  // a flipped float bit or packed-word bit, or a seen/unseen swap that
+  // keeps the mask's popcount, parses as a well-formed file. Each must be
+  // rejected naming the checksum, and the registry must register nothing.
+  Tiny t = make_tiny(79, "hdc", /*n_classes=*/7);
+  const serve::ModelSnapshot snap(t.model, t.a, /*binary_expansion=*/1, /*preferred_shards=*/1,
+                                  {1, 1, 1, 1, 0, 0, 0});
+  std::stringstream full;
+  serve::save_snapshot(full, snap);
+  const std::string bytes = full.str();
+
+  // Tail layout (fixed widths, back to front): "PANS" | 20 lineage bytes |
+  // has_ivf u8 | has_quant u8 | 1 mask word | n_seen u64 | shards u64 |
+  // 7 packed words (d=64 ⇒ 1 word/row) | packed count u64 | 7x64 floats.
+  const std::size_t mask_off = bytes.size() - 4 - 20 - 1 - 1 - 8;
+  const std::size_t packed_off = mask_off - 8 - 8 - 7 * 8;
+  const std::size_t float_off = packed_off - 8 - 7 * 64 * sizeof(float);
+  std::uint64_t mask_word = 0;
+  std::memcpy(&mask_word, bytes.data() + mask_off, 8);
+  ASSERT_EQ(mask_word, 0b0001111u) << "tail-layout arithmetic drifted from the format";
+  ASSERT_EQ(std::memcmp(bytes.data() + packed_off, snap.prototypes().packed_data(), 7 * 8), 0);
+  ASSERT_EQ(std::memcmp(bytes.data() + float_off, snap.prototypes().float_rows(),
+                        7 * 64 * sizeof(float)),
+            0);
+
+  std::vector<std::pair<std::string, std::string>> corrupt;
+  std::string b = bytes;
+  b[float_off + (2 * 64 + 5) * sizeof(float)] ^= 0x01;  // row 2, lowest mantissa bit
+  corrupt.emplace_back("float row bit", b);
+  b = bytes;
+  b[packed_off + 3 * 8 + 2] ^= 0x02;  // row 3, bit 17
+  corrupt.emplace_back("packed word bit", b);
+  b = bytes;
+  const std::uint64_t swapped = 0b0010111;  // class 3 unseen, class 4 seen
+  std::memcpy(b.data() + mask_off, &swapped, 8);
+  corrupt.emplace_back("seen/unseen swap", b);
+
+  const std::string path = temp_path("corrupt_planes.hdcsnap");
+  serve::ModelRegistry registry(fast_cfg());
+  for (const auto& [what, bad] : corrupt) {
+    std::istringstream in(bad);
+    try {
+      serve::load_snapshot(in);
+      ADD_FAILURE() << what << ": corrupt planes loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("content checksum"), std::string::npos)
+          << what << ": " << e.what();
+    }
+    write_file(path, bad);
+    EXPECT_THROW(registry.load_file("m", path), std::runtime_error) << what;
+    EXPECT_FALSE(registry.has("m")) << what;
+    EXPECT_EQ(registry.size(), 0u) << what;
+  }
+
+  // The untouched bytes load, carrying the checksum they were saved with.
+  write_file(path, bytes);
+  registry.load_file("m", path);
+  EXPECT_EQ(registry.engine("m")->pin()->content_checksum, snap.content_checksum());
 }
 
 TEST(ModelRegistry, RoutesRequestsByKey) {
