@@ -1,14 +1,21 @@
 // Backbone compute-core benchmark: blocked GEMM vs. the seed naive matmul,
-// whole-batch im2col conv vs. the seed per-image loop, and the end-to-end
-// effect on serve::InferenceEngine::classify_batch.
+// whole-batch conv vs. the seed per-image loop, the fused eval block vs.
+// its layer-by-layer walk, and the end-to-end effect on
+// serve::InferenceEngine::classify_batch.
 //
-// Three sections:
+// Four sections:
 //  * gemm     — square GEMMs, single thread: gemm_accumulate (packed panels,
 //               register-tiled, runtime-ISA-dispatched) vs. gemm_naive (the
 //               seed i-k-j matmul loop). The 256^3 speedup is the PR's
 //               headline acceptance number (target >= 3x).
-//  * conv     — Conv2d::forward through the whole-batch column matrix vs. a
-//               faithful copy of the seed per-image axpy conv.
+//  * conv     — Conv2d::forward (tensor::gemm_conv: B panels packed straight
+//               from the image) vs. a faithful copy of the seed per-image
+//               axpy conv.
+//  * fused eval block — resnet_micro_flat's nine convs at batch 1, 2 and 16:
+//               each conv with the BN, residual add and ReLU after it, run
+//               layer by layer vs. as one Conv2d::forward_fused. The two
+//               outputs must be bitwise equal; the binary exits nonzero if
+//               any is not.
 //  * serving  — classify_batch images/s at batch 1 vs. batch 8 on a trained
 //               engine: with the batched backbone, coalesced batches are now
 //               cheaper per image through the embed itself.
@@ -23,6 +30,7 @@
 
 #include "core/pipeline.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/resnet.hpp"
 #include "serve/engine.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -109,6 +117,62 @@ tensor::Tensor conv_forward_seed(const tensor::Tensor& x, const tensor::Tensor& 
   return y;
 }
 
+/// One conv of the fused-eval section with the layers its fused form
+/// absorbs, and its timings at one batch size.
+struct FusedConv {
+  std::string name;
+  double layer_us = 0.0, fused_us = 0.0;
+  bool bitwise = false;
+};
+
+struct FusedBatch {
+  std::size_t batch = 0;
+  std::vector<FusedConv> convs;
+  double layer_us = 0.0, fused_us = 0.0;
+};
+
+/// resnet_micro_flat's convs at `batch`: conv → BN (eval) → (+identity) →
+/// (ReLU) layer by layer vs. Conv2d::forward_fused, best of `reps` rounds.
+FusedBatch bench_fused_block(nn::Sequential& net, std::size_t batch, std::size_t reps,
+                             util::Rng& rng) {
+  FusedBatch fb;
+  fb.batch = batch;
+  nn::ReLU relu;
+  auto run = [&](const std::string& name, nn::Conv2d& conv, nn::BatchNorm2d& bn,
+                 const tensor::Tensor& x, const tensor::Tensor* residual, bool with_relu) {
+    auto layer_by_layer = [&] {
+      tensor::Tensor h = bn.forward(conv.forward(x, false), false);
+      if (residual) h.add_scaled(*residual, 1.0f);
+      return with_relu ? relu.forward(h, false) : h;
+    };
+    auto fused = [&] { return conv.forward_fused(x, &bn, residual, with_relu); };
+    FusedConv fc;
+    fc.name = name;
+    const tensor::Tensor want = layer_by_layer(), got = fused();
+    fc.bitwise = want.shape() == got.shape() &&
+                 std::memcmp(want.data(), got.data(), want.numel() * sizeof(float)) == 0;
+    fc.layer_us = 1e6 * best_seconds(layer_by_layer, reps);
+    fc.fused_us = 1e6 * best_seconds(fused, reps);
+    fb.layer_us += fc.layer_us;
+    fb.fused_us += fc.fused_us;
+    fb.convs.push_back(fc);
+    return got;
+  };
+  tensor::Tensor x = tensor::Tensor::randn({batch, 3, 32, 32}, rng);
+  x = run("stem", dynamic_cast<nn::Conv2d&>(net[0]), dynamic_cast<nn::BatchNorm2d&>(net[1]), x,
+          nullptr, true);
+  for (std::size_t b = 0; b < 3; ++b) {
+    auto& block = dynamic_cast<nn::BasicBlock&>(net[3 + b]);
+    const std::string prefix = "block" + std::to_string(b + 1) + ".";
+    tensor::Tensor identity = x;
+    if (block.down_conv())
+      identity = run(prefix + "down", *block.down_conv(), *block.down_bn(), x, nullptr, false);
+    const tensor::Tensor h = run(prefix + "conv1", block.conv1(), block.bn1(), x, nullptr, true);
+    x = run(prefix + "conv2", block.conv2(), block.bn2(), h, &identity, true);
+  }
+  return fb;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,6 +227,35 @@ int main(int argc, char** argv) {
                       util::Table::num(conv_new_ms / conv_batch, 3),
                       util::Table::num(conv_speedup, 2) + "x"});
   conv_table.print();
+
+  // -- fused eval block: layer by layer vs. one fused conv --------------------
+  // Non-trivial BN statistics and affines, so that every BN step shows.
+  nn::Backbone flat = nn::resnet_micro_flat(rng);
+  for (nn::BufferRef b : flat.net->buffers())
+    for (std::size_t i = 0; i < b.tensor->numel(); ++i)
+      (*b.tensor)[i] = b.name == "bn.running_var" ? static_cast<float>(rng.uniform(0.5, 1.5))
+                                                  : static_cast<float>(rng.normal(0.0, 0.1));
+  for (nn::Parameter* p : flat.net->parameters())
+    if (p->name == "bn.gamma" || p->name == "bn.beta")
+      for (std::size_t i = 0; i < p->value.numel(); ++i)
+        p->value[i] = static_cast<float>(rng.normal(p->name == "bn.gamma" ? 1.0 : 0.0, 0.2));
+  std::vector<FusedBatch> fused_batches;
+  bool fused_bitwise = true;
+  for (std::size_t batch : {std::size_t{1}, std::size_t{2}, std::size_t{16}}) {
+    const FusedBatch fb = bench_fused_block(*flat.net, batch, 20 * reps, rng);
+    util::Table t("fused eval block — resnet_micro_flat convs with BN/residual/ReLU, batch " +
+                  std::to_string(batch));
+    t.set_header({"conv", "layer-by-layer us", "fused us", "speedup", "bitwise"});
+    for (const FusedConv& c : fb.convs) {
+      fused_bitwise &= c.bitwise;
+      t.add_row({c.name, util::Table::num(c.layer_us, 1), util::Table::num(c.fused_us, 1),
+                 util::Table::num(c.layer_us / c.fused_us, 2) + "x", c.bitwise ? "yes" : "NO"});
+    }
+    t.add_row({"total", util::Table::num(fb.layer_us, 1), util::Table::num(fb.fused_us, 1),
+               util::Table::num(fb.layer_us / fb.fused_us, 2) + "x", ""});
+    t.print();
+    fused_batches.push_back(fb);
+  }
 
   // -- serving: classify_batch images/s, batch 1 vs. batch 8 ------------------
   core::PipelineConfig cfg;
@@ -240,6 +333,21 @@ int main(int argc, char** argv) {
                  "  \"conv_forward\": {\"batch\": %zu, \"seed_ms\": %.4f, \"batched_ms\": "
                  "%.4f, \"speedup\": %.3f},\n",
                  conv_batch, conv_seed_ms, conv_new_ms, conv_speedup);
+    std::fprintf(j, "  \"fused_eval_block\": [\n");
+    for (std::size_t i = 0; i < fused_batches.size(); ++i) {
+      const FusedBatch& fb = fused_batches[i];
+      std::fprintf(j, "    {\"batch\": %zu, \"layer_by_layer_us\": %.2f, \"fused_us\": %.2f, "
+                      "\"convs\": [\n", fb.batch, fb.layer_us, fb.fused_us);
+      for (std::size_t c = 0; c < fb.convs.size(); ++c)
+        std::fprintf(j,
+                     "      {\"name\": \"%s\", \"layer_by_layer_us\": %.2f, \"fused_us\": "
+                     "%.2f, \"bitwise\": %s}%s\n",
+                     fb.convs[c].name.c_str(), fb.convs[c].layer_us, fb.convs[c].fused_us,
+                     fb.convs[c].bitwise ? "true" : "false", c + 1 < fb.convs.size() ? "," : "");
+      std::fprintf(j, "    ]}%s\n", i + 1 < fused_batches.size() ? "," : "");
+    }
+    std::fprintf(j, "  ],\n");
+    std::fprintf(j, "  \"fused_eval_bitwise\": %s,\n", fused_bitwise ? "true" : "false");
     std::fprintf(j,
                  "  \"classify_batch\": {\"images_per_s_b1\": %.2f, \"images_per_s_b8\": "
                  "%.2f, \"batch8_vs_single\": %.3f}\n",
@@ -264,6 +372,11 @@ int main(int argc, char** argv) {
                 speedup_256, speedup_256 >= 3.0 ? "met" : "not met");
   }
   std::printf("conv forward: whole-batch GEMM %.2fx over seed per-image loop\n", conv_speedup);
+  for (const FusedBatch& fb : fused_batches)
+    std::printf("fused eval block, batch %zu: %.1f -> %.1f us (%.2fx)\n", fb.batch, fb.layer_us,
+                fb.fused_us, fb.layer_us / fb.fused_us);
+  std::printf("fused eval block output bitwise equal to layer by layer: %s\n",
+              fused_bitwise ? "PASS" : "FAIL");
   std::printf("classify_batch: batch 8 serves %.2fx the images/s of batch 1 "
               "(improvement: %s)\n",
               batch8_vs_single, batch8_vs_single > 1.0 ? "PASS" : "FAIL");
@@ -271,6 +384,10 @@ int main(int argc, char** argv) {
   if (min_speedup > 0.0 && speedup_256 < min_speedup) {
     std::fprintf(stderr, "FAIL: 256^3 GEMM speedup %.2fx below required %.2fx\n", speedup_256,
                  min_speedup);
+    return 1;
+  }
+  if (!fused_bitwise) {
+    std::fprintf(stderr, "FAIL: a fused eval conv differs from its layer-by-layer walk\n");
     return 1;
   }
   return 0;

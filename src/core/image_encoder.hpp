@@ -39,6 +39,10 @@ class ImageEncoder {
   std::size_t dim() const;
   std::size_t backbone_feature_dim() const { return backbone_.feature_dim; }
   const std::string& arch() const { return backbone_.arch; }
+  /// The images the backbone embeds: [image_channels(), S, S], with S ==
+  /// image_size() for flat tails and any S when image_size() is 0.
+  std::size_t image_channels() const { return backbone_.in_channels; }
+  std::size_t image_size() const { return backbone_.input_size; }
   bool has_projection() const { return fc_ != nullptr; }
 
   /// All parameters (backbone + projection).

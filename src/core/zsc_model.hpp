@@ -21,6 +21,7 @@ class ZscModel {
            std::unique_ptr<AttributeEncoder> attribute_encoder, float temp_scale);
 
   ImageEncoder& image_encoder() { return *image_encoder_; }
+  const ImageEncoder& image_encoder() const { return *image_encoder_; }
   AttributeEncoder& attribute_encoder() { return *attribute_encoder_; }
   SimilarityKernel& class_kernel() { return class_kernel_; }
   SimilarityKernel& attribute_kernel() { return attribute_kernel_; }

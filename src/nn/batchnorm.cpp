@@ -4,6 +4,16 @@
 
 namespace hdczsc::nn {
 
+namespace {
+
+Tensor inv_std_of(const Tensor& var, float eps) {
+  Tensor inv_std({var.numel()});
+  for (std::size_t ch = 0; ch < var.numel(); ++ch) inv_std[ch] = 1.0f / std::sqrt(var[ch] + eps);
+  return inv_std;
+}
+
+}  // namespace
+
 BatchNorm2d::BatchNorm2d(std::size_t channels, float momentum, float eps)
     : channels_(channels), momentum_(momentum), eps_(eps),
       gamma_(Tensor({channels}, 1.0f), "bn.gamma"),
@@ -53,9 +63,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
     }
   }
 
-  Tensor inv_std({c});
-  for (std::size_t ch = 0; ch < c; ++ch)
-    inv_std[ch] = 1.0f / std::sqrt(var[ch] + eps_);
+  const Tensor inv_std = inv_std_of(var, eps_);
 
   Tensor xhat = train ? Tensor(x.shape()) : Tensor();
   for (std::size_t b = 0; b < batch; ++b) {
@@ -87,6 +95,8 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   }
   return out;
 }
+
+Tensor BatchNorm2d::eval_inv_std() const { return inv_std_of(running_var_, eps_); }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   if (cached_xhat_.empty())

@@ -26,6 +26,10 @@ class BatchNorm2d : public Layer {
   const Tensor& gamma() const { return gamma_.value; }
   const Tensor& beta() const { return beta_.value; }
   float eps() const { return eps_; }
+  /// Per-channel 1/√(σ²+ε) of the running variance, computed exactly as
+  /// the eval forward computes it (a fused conv epilogue applies it; see
+  /// Conv2d::forward_fused).
+  Tensor eval_inv_std() const;
 
  private:
   std::size_t channels_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "nn/batchnorm.hpp"
 #include "nn/init.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -13,8 +14,8 @@ namespace hdczsc::nn {
 
 namespace {
 
-// A conv whose whole-batch column matrix holds fewer floats than this runs
-// its per-image loops (im2col, scatter, gather, col2im) on the calling
+// A backward pass whose whole-batch column matrix holds fewer floats than
+// this runs its per-image loops (im2col, gather, col2im) on the calling
 // thread: below it a pool dispatch costs about as much as the copying it
 // would share (DESIGN.md §6 "Threading model" has the measurement).
 constexpr std::size_t kConvInlineColumnFloats = std::size_t{1} << 18;
@@ -112,48 +113,55 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t ke
 }
 
 Tensor Conv2d::forward(const Tensor& x, bool train) {
+  if (train) cached_input_ = x;
+  return run(x, {});
+}
+
+Tensor Conv2d::forward_fused(const Tensor& x, const BatchNorm2d* bn, const Tensor* residual,
+                             bool relu) const {
+  tensor::ConvEpilogue ep;
+  ep.relu = relu;
+  Tensor inv_std;
+  if (bn) {
+    if (bn->running_mean().numel() != out_c_)
+      throw std::invalid_argument("Conv2d::forward_fused: BatchNorm2d over " +
+                                  std::to_string(bn->running_mean().numel()) +
+                                  " channels after a conv with out_channels=" +
+                                  std::to_string(out_c_));
+    inv_std = bn->eval_inv_std();
+    ep.bn_mean = bn->running_mean().data();
+    ep.bn_inv_std = inv_std.data();
+    ep.bn_gamma = bn->gamma().data();
+    ep.bn_beta = bn->beta().data();
+  }
+  if (residual) {
+    if (x.dim() != 4 || residual->shape() != Shape{x.size(0), out_c_, out_size(x.size(2)),
+                                                   out_size(x.size(3))})
+      throw std::invalid_argument("Conv2d::forward_fused: residual " +
+                                  tensor::shape_str(residual->shape()) +
+                                  " does not match the conv output for input " +
+                                  tensor::shape_str(x.shape()));
+    ep.residual = residual->data();
+  }
+  return run(x, ep);
+}
+
+Tensor Conv2d::run(const Tensor& x, tensor::ConvEpilogue ep) const {
   if (x.dim() != 4 || x.size(1) != in_c_)
     throw std::invalid_argument("Conv2d::forward: input " + tensor::shape_str(x.shape()) +
                                 " incompatible with in_channels=" + std::to_string(in_c_));
-  const std::size_t batch = x.size(0), h = x.size(2), w = x.size(3);
-  const std::size_t oh = out_size(h), ow = out_size(w);
-  if (train) cached_input_ = x;
-
-  Tensor y({batch, out_c_, oh, ow});
-  const std::size_t krows = in_c_ * k_ * k_;
-  const std::size_t ncols = oh * ow;
-  const std::size_t total = batch * ncols;
-  const float* W = w_.value.data();
-  const float* X = x.data();
-  float* Y = y.data();
-
-  // Whole-batch column matrix [krows, batch*ncols]: image b owns the
-  // contiguous column slice [b*ncols, (b+1)*ncols).
-  float* cols = tensor::scratch_f32(tensor::kScratchConvCols, krows * total);
-  for_each_image(batch, krows * total, [&](std::size_t b) {
-    im2col(X + b * in_c_ * h * w, in_c_, h, w, k_, k_, stride_, pad_, cols + b * ncols, total);
-  });
-
-  // One GEMM for the whole batch: out[out_c, batch*ncols] = W_flat * cols.
-  float* out = tensor::scratch_f32(tensor::kScratchConvOut, out_c_ * total);
-  std::memset(out, 0, out_c_ * total * sizeof(float));
-  tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::N, out_c_, total, krows, W, krows,
-                          cols, total, out, total);
-
-  // Scatter channel-major GEMM rows back to NCHW, folding in the bias.
-  for_each_image(batch, krows * total, [&](std::size_t b) {
-    float* yb = Y + b * out_c_ * ncols;
-    for (std::size_t oc = 0; oc < out_c_; ++oc) {
-      const float* src = out + oc * total + b * ncols;
-      float* yrow = yb + oc * ncols;
-      if (has_bias_) {
-        const float bv = b_.value[oc];
-        for (std::size_t c = 0; c < ncols; ++c) yrow[c] = src[c] + bv;
-      } else {
-        std::memcpy(yrow, src, ncols * sizeof(float));
-      }
-    }
-  });
+  tensor::ConvShape s;
+  s.batch = x.size(0);
+  s.in_c = in_c_;
+  s.h = x.size(2);
+  s.w = x.size(3);
+  s.out_c = out_c_;
+  s.kernel = k_;
+  s.stride = stride_;
+  s.pad = pad_;
+  if (has_bias_) ep.bias = b_.value.data();
+  Tensor y({s.batch, out_c_, s.out_h(), s.out_w()});
+  tensor::gemm_conv(s, w_.value.data(), x.data(), ep, y.data());
   return y;
 }
 

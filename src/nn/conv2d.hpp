@@ -1,21 +1,28 @@
-// 2-D convolution via whole-batch im2col + one GEMM per direction.
+// 2-D convolution as one whole-batch GEMM per direction.
 // Input layout is NCHW; weight layout is [out_c, in_c, kh, kw].
 //
-// forward unfolds the entire batch into a single [in_c*kh*kw, B*oh*ow]
-// column matrix (each image owns a contiguous column slice) and runs one
-// blocked GEMM against the flattened weights; backward reuses the same
-// matrix for dW (one GEMM against the gathered output grads) and dx (one
-// transposed GEMM + per-image col2im). All workspaces live in thread-local
-// tensor::scratch slots, so steady-state passes perform no workspace
-// allocation (asserted via scratch_grow_count in tests; the output/grad
-// Tensors themselves are still allocated per call) and concurrent eval-mode
-// forwards on a shared layer stay race-free.
+// forward runs tensor::gemm_conv: one blocked GEMM of the flattened weights
+// against the batch's im2col matrix [in_c*kh*kw, B*oh*ow], which is never
+// built — the GEMM packs its B panels straight from a zero-padded copy of
+// the input and writes NCHW output directly. In eval, forward_fused also
+// applies the BatchNorm2d, residual add and ReLU that follow the conv in
+// that write-back, bitwise equal to running those layers one by one.
+// backward materializes the column matrix for dW (one GEMM against the
+// gathered output grads) and dx (one transposed GEMM + per-image col2im).
+// All workspaces live in thread-local tensor::scratch slots, so
+// steady-state passes perform no workspace allocation (asserted via
+// scratch_grow_count in tests; the output/grad Tensors themselves are still
+// allocated per call) and concurrent eval-mode forwards on a shared layer
+// stay race-free.
 #pragma once
 
 #include "nn/layer.hpp"
+#include "tensor/gemm.hpp"
 #include "util/rng.hpp"
 
 namespace hdczsc::nn {
+
+class BatchNorm2d;
 
 /// Unfold input [C, H, W] into columns [C*kh*kw, out_h*out_w]. When
 /// `col_stride` is nonzero the destination rows are spaced `col_stride`
@@ -37,6 +44,14 @@ class Conv2d : public Layer {
          std::size_t stride, std::size_t pad, util::Rng& rng, bool bias = false);
 
   Tensor forward(const Tensor& x, bool train) override;
+  /// Eval forward fused with the layers that follow it: `bn` (eval, may be
+  /// null), then `+ *residual` (NCHW like the output, may be null), then
+  /// ReLU when `relu`. Bitwise equal to forward(x, false) followed by
+  /// BatchNorm2d::forward(…, false), Tensor::add_scaled(…, 1) and
+  /// ReLU::forward, without their intermediate tensors. Const, so
+  /// concurrent calls on a shared layer are safe.
+  Tensor forward_fused(const Tensor& x, const BatchNorm2d* bn, const Tensor* residual,
+                       bool relu) const;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "Conv2d"; }
@@ -56,6 +71,9 @@ class Conv2d : public Layer {
   std::size_t out_size(std::size_t in) const { return (in + 2 * pad_ - k_) / stride_ + 1; }
 
  private:
+  /// gemm_conv of x with this layer's weights; adds the bias to `ep`.
+  Tensor run(const Tensor& x, tensor::ConvEpilogue ep) const;
+
   std::size_t in_c_, out_c_, k_, stride_, pad_;
   bool has_bias_;
   Parameter w_, b_;

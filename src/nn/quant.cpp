@@ -77,13 +77,6 @@ void im2col_u8(const float* input, std::size_t channels, std::size_t height, std
 
 // ---------------------------------------------------------------- float glue
 
-void relu_inplace(Tensor& t) {
-  float* d = t.data();
-  const std::size_t n = t.numel();
-  for (std::size_t i = 0; i < n; ++i)
-    if (d[i] < 0.0f) d[i] = 0.0f;
-}
-
 void add_relu_inplace(Tensor& h, const Tensor& identity) {
   if (h.numel() != identity.numel())
     throw std::logic_error("quant: residual shape mismatch");
@@ -140,10 +133,7 @@ Tensor gap_f(const Tensor& x) {
 struct WalkItem {
   enum Kind { kStemConv, kMaxPool, kGap, kFlatten, kBasic, kBottleneck } kind;
   Layer* layer = nullptr;  ///< the Sequential entry itself
-  // kStemConv
-  Conv2d* conv = nullptr;
-  BatchNorm2d* bn = nullptr;
-  bool relu = false;
+  ConvRun stem;            ///< kStemConv
   // kMaxPool
   MaxPool2d* pool = nullptr;
   // blocks
@@ -158,15 +148,10 @@ std::vector<WalkItem> parse_backbone(Sequential& seq) {
     const std::string n = l.name();
     WalkItem it;
     it.layer = &l;
-    if (n == "Conv2d") {
+    it.stem = seq.conv_run(i);
+    if (it.stem.conv) {
       it.kind = WalkItem::kStemConv;
-      it.conv = dynamic_cast<Conv2d*>(&l);
-      if (i + 1 < seq.size() && seq[i + 1].name() == "BatchNorm2d")
-        it.bn = dynamic_cast<BatchNorm2d*>(&seq[++i]);
-      if (i + 1 < seq.size() && seq[i + 1].name() == "ReLU") {
-        it.relu = true;
-        ++i;
-      }
+      i = it.stem.end - 1;
     } else if (n == "MaxPool2d") {
       it.kind = WalkItem::kMaxPool;
       it.pool = dynamic_cast<MaxPool2d*>(&l);
@@ -215,46 +200,36 @@ void calib_forward(const std::vector<WalkItem>& items, Linear* projection, const
   Tensor x = input;
   for (const WalkItem& it : items) {
     switch (it.kind) {
-      case WalkItem::kStemConv: {
+      case WalkItem::kStemConv:
         see(x);
-        x = it.conv->forward(x, false);
-        if (it.bn) x = it.bn->forward(x, false);
-        if (it.relu) relu_inplace(x);
+        x = it.stem.conv->forward_fused(x, it.stem.bn, nullptr, it.stem.relu);
         break;
-      }
       case WalkItem::kBasic: {
         BasicBlock* b = it.basic;
         see(x);
-        Tensor h = b->bn1().forward(b->conv1().forward(x, false), false);
-        relu_inplace(h);
+        const Tensor h = b->conv1().forward_fused(x, &b->bn1(), nullptr, true);
         see(h);
-        h = b->bn2().forward(b->conv2().forward(h, false), false);
         Tensor identity = x;
         if (b->down_conv()) {
           see(x);
-          identity = b->down_bn()->forward(b->down_conv()->forward(x, false), false);
+          identity = b->down_conv()->forward_fused(x, b->down_bn(), nullptr, false);
         }
-        add_relu_inplace(h, identity);
-        x = std::move(h);
+        x = b->conv2().forward_fused(h, &b->bn2(), &identity, true);
         break;
       }
       case WalkItem::kBottleneck: {
         Bottleneck* b = it.bottleneck;
         see(x);
-        Tensor h = b->bn1().forward(b->conv1().forward(x, false), false);
-        relu_inplace(h);
+        Tensor h = b->conv1().forward_fused(x, &b->bn1(), nullptr, true);
         see(h);
-        h = b->bn2().forward(b->conv2().forward(h, false), false);
-        relu_inplace(h);
+        h = b->conv2().forward_fused(h, &b->bn2(), nullptr, true);
         see(h);
-        h = b->bn3().forward(b->conv3().forward(h, false), false);
         Tensor identity = x;
         if (b->down_conv()) {
           see(x);
-          identity = b->down_bn()->forward(b->down_conv()->forward(x, false), false);
+          identity = b->down_conv()->forward_fused(x, b->down_bn(), nullptr, false);
         }
-        add_relu_inplace(h, identity);
-        x = std::move(h);
+        x = b->conv3().forward_fused(h, &b->bn3(), &identity, true);
         break;
       }
       case WalkItem::kMaxPool:
@@ -767,7 +742,7 @@ std::shared_ptr<QuantizedEmbed> QuantizedEmbed::build(Sequential& backbone, Line
     switch (it.kind) {
       case WalkItem::kStemConv:
         node.kind = Node::Kind::kConv;
-        node.conv = fold_conv(*it.conv, it.bn, it.relu, next_q());
+        node.conv = fold_conv(*it.stem.conv, it.stem.bn, it.stem.relu, next_q());
         break;
       case WalkItem::kBasic: {
         BasicBlock* b = it.basic;

@@ -22,12 +22,19 @@ BasicBlock::BasicBlock(std::size_t in_c, std::size_t out_c, std::size_t stride, 
 }
 
 Tensor BasicBlock::forward(const Tensor& x, bool train) {
+  if (!train) {
+    // Each conv applies its BN, the residual add and the ReLUs in its
+    // write-back: bitwise the layer-by-layer walk below, in eval.
+    const Tensor identity =
+        down_conv_ ? down_conv_->forward_fused(x, down_bn_.get(), nullptr, false) : x;
+    const Tensor h = conv1_.forward_fused(x, &bn1_, nullptr, true);
+    return conv2_.forward_fused(h, &bn2_, &identity, true);
+  }
   Tensor identity = x;
   if (down_conv_) {
     identity = down_conv_->forward(x, train);
     identity = down_bn_->forward(identity, train);
   }
-  if (train) cached_identity_ = identity;
 
   Tensor h = conv1_.forward(x, train);
   h = bn1_.forward(h, train);
@@ -103,12 +110,19 @@ Bottleneck::Bottleneck(std::size_t in_c, std::size_t mid_c, std::size_t stride, 
 }
 
 Tensor Bottleneck::forward(const Tensor& x, bool train) {
+  if (!train) {
+    // Fused as in BasicBlock::forward.
+    const Tensor identity =
+        down_conv_ ? down_conv_->forward_fused(x, down_bn_.get(), nullptr, false) : x;
+    Tensor h = conv1_.forward_fused(x, &bn1_, nullptr, true);
+    h = conv2_.forward_fused(h, &bn2_, nullptr, true);
+    return conv3_.forward_fused(h, &bn3_, &identity, true);
+  }
   Tensor identity = x;
   if (down_conv_) {
     identity = down_conv_->forward(x, train);
     identity = down_bn_->forward(identity, train);
   }
-  if (train) cached_identity_ = identity;
 
   Tensor h = conv1_.forward(x, train);
   h = bn1_.forward(h, train);
@@ -197,7 +211,7 @@ Backbone build_bottleneck_resnet(const std::string& arch, const std::size_t (&de
     }
   }
   net->emplace<GlobalAvgPool>();
-  return Backbone{std::move(net), in_c, arch};
+  return Backbone{std::move(net), in_c, arch, in_channels};
 }
 
 /// ImageNet-style ResNet with BasicBlocks.
@@ -220,7 +234,7 @@ Backbone build_basic_resnet(const std::string& arch, const std::size_t (&depths)
     }
   }
   net->emplace<GlobalAvgPool>();
-  return Backbone{std::move(net), in_c, arch};
+  return Backbone{std::move(net), in_c, arch, in_channels};
 }
 
 }  // namespace
@@ -256,7 +270,7 @@ Backbone resnet_mini(util::Rng& rng, std::size_t in_channels, std::size_t width)
     }
   }
   net->emplace<GlobalAvgPool>();
-  return Backbone{std::move(net), in_c, "resnet_mini"};
+  return Backbone{std::move(net), in_c, "resnet_mini", in_channels};
 }
 
 Backbone resnet_micro(util::Rng& rng, std::size_t in_channels) {
@@ -272,7 +286,7 @@ Backbone resnet_micro(util::Rng& rng, std::size_t in_channels) {
     in_c = out_c;
   }
   net->emplace<GlobalAvgPool>();
-  return Backbone{std::move(net), in_c, "resnet_micro"};
+  return Backbone{std::move(net), in_c, "resnet_micro", in_channels};
 }
 
 namespace {
@@ -296,7 +310,7 @@ Backbone build_flat(const std::string& arch, std::size_t width, std::size_t in_c
   }
   net->emplace<Flatten>();
   const std::size_t grid = input_size / 4;
-  return Backbone{std::move(net), in_c * grid * grid, arch};
+  return Backbone{std::move(net), in_c * grid * grid, arch, in_channels, input_size};
 }
 
 }  // namespace

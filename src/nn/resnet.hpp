@@ -49,7 +49,6 @@ class BasicBlock : public Layer {
   ReLU relu_out_;
   std::unique_ptr<Conv2d> down_conv_;
   std::unique_ptr<BatchNorm2d> down_bn_;
-  Tensor cached_identity_;
 };
 
 /// 1x1 -> 3x3 -> 1x1 bottleneck with 4x expansion (ResNet50/101/152).
@@ -87,15 +86,18 @@ class Bottleneck : public Layer {
   ReLU relu_out_;
   std::unique_ptr<Conv2d> down_conv_;
   std::unique_ptr<BatchNorm2d> down_bn_;
-  Tensor cached_identity_;
 };
 
-/// Backbone descriptor: a Sequential ending in GlobalAvgPool producing
-/// [B, feature_dim] embeddings.
+/// Backbone descriptor: a Sequential ending in GlobalAvgPool (or Flatten)
+/// producing [B, feature_dim] embeddings from [B, in_channels, S, S] images.
 struct Backbone {
   std::unique_ptr<Sequential> net;
   std::size_t feature_dim = 0;
   std::string arch;
+  std::size_t in_channels = 3;
+  /// The one S a flat tail was built for (feature_dim depends on it); 0 for
+  /// GlobalAvgPool tails, which embed any S.
+  std::size_t input_size = 0;
 };
 
 /// ImageNet-style stems (7x7/2 conv + 3x3/2 maxpool).

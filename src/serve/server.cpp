@@ -56,6 +56,21 @@ std::optional<InferResult> ServerRuntime::validate(const InferRequest& req) cons
     return make_error_result(req.request_id, InferStatus::kBadShape,
                              "input must be an image [3,S,S] / [1,3,S,S] or an embedding "
                              "[d] / [1,d]");
+  if (image) {
+    // The batch assembles images by element count, so one whose shape the
+    // backbone cannot embed must not get that far: a flat tail would read a
+    // [3,16,64] image's pixels as [3,32,32], and its batch-mates' with them.
+    const core::ImageEncoder& enc = engine_->snapshot().model().image_encoder();
+    const std::size_t c = in.size(in.dim() - 3), h = in.size(in.dim() - 2),
+                      w = in.size(in.dim() - 1);
+    const std::size_t want_c = enc.image_channels(), want_s = enc.image_size();
+    if (c != want_c || h != w || (want_s != 0 && h != want_s))
+      return make_error_result(
+          req.request_id, InferStatus::kBadShape,
+          "image " + tensor::shape_str(in.shape()) + " does not match the backbone's input [" +
+              std::to_string(want_c) + "," + (want_s ? std::to_string(want_s) : "S") + "," +
+              (want_s ? std::to_string(want_s) : "S") + "]");
+  }
   if (embedding) {
     const std::size_t d = in.dim() == 1 ? in.size(0) : in.size(1);
     if (d != engine_->snapshot().dim())
@@ -81,11 +96,17 @@ std::optional<InferResult> ServerRuntime::validate(const InferRequest& req) cons
 }
 
 void ServerRuntime::submit(InferRequest req, InferDone done) {
+  const std::uint64_t id = req.request_id;
+  const auto shutdown = [&] {
+    stats_.record_reject();
+    done(make_error_result(id, InferStatus::kShutdown, "runtime stopped"));
+  };
+  // A stopped runtime answers kShutdown whatever the request holds.
+  if (stopped_.load()) return shutdown();
   if (auto err = validate(req)) {
     done(std::move(*err));
     return;
   }
-  const std::uint64_t id = req.request_id;
   switch (batcher_.submit(req, done)) {
     case DynamicBatcher::Admit::kAccepted:
       return;
@@ -96,9 +117,7 @@ void ServerRuntime::submit(InferRequest req, InferDone done) {
                                  std::to_string(batcher_.policy().max_queue_depth) + ")"));
       return;
     case DynamicBatcher::Admit::kShutdown:
-      stats_.record_reject();
-      done(make_error_result(id, InferStatus::kShutdown, "runtime stopped"));
-      return;
+      return shutdown();
   }
 }
 
@@ -125,9 +144,10 @@ void ServerRuntime::worker_loop() {
     // The first request of the batch sets its input kind (image vs
     // pre-computed embedding) and element count; requests that don't match
     // both fail individually instead of poisoning the batch. validate()
-    // already pinned every embedding to the model dim, so an embedding can
-    // only be split from the batch by an image whose numel coincides —
-    // which the kind check catches.
+    // already pinned every embedding to the model dim and every image to
+    // [C,S,S] with the backbone's C, so images of one element count share
+    // one shape, and an embedding can only be split from the batch by an
+    // image whose numel coincides — which the kind check catches.
     const tensor::Tensor& first = items[0].req.input;
     const bool embed_kind = first.dim() <= 2;
     const std::size_t per_input = first.numel();

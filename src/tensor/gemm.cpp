@@ -1,7 +1,9 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "tensor/scratch.hpp"
@@ -12,11 +14,11 @@ namespace hdczsc::tensor {
 namespace {
 
 /// Profiling hook (obs::set_profiling_enabled): wall time of each top-level
-/// gemm_accumulate / gemm_packed call. Magic static — one pointer load per call; with
-/// profiling off the ScopedTimer reads no clock.
+/// gemm_accumulate / gemm_packed / gemm_conv call. Magic static — one
+/// pointer load per call; with profiling off the ScopedTimer reads no clock.
 obs::Histogram* gemm_hist() {
   static const std::shared_ptr<obs::Histogram> h = obs::default_registry().histogram(
-      "tensor_gemm_ms", {}, "wall time of one gemm_accumulate or gemm_packed call");
+      "tensor_gemm_ms", {}, "wall time of one gemm_accumulate, gemm_packed or gemm_conv call");
   return h.get();
 }
 
@@ -28,22 +30,24 @@ constexpr std::size_t kMC = 128;
 constexpr std::size_t kKC = 256;
 constexpr std::size_t kNC = 1024;
 
-/// Logical element (i, p) of op(A) for either transpose state.
-inline float at(const float* M, std::size_t ld, Trans t, std::size_t i, std::size_t p) {
-  return t == Trans::N ? M[i * ld + p] : M[p * ld + i];
-}
-
 /// Pack op(A)[ic:ic+mc, pc:pc+kc] into MR-tall panels, k-major within each
 /// panel; ragged bottom rows are zero-filled so the micro-kernel always runs
 /// a full MR x NR tile.
 void pack_a(const float* A, std::size_t lda, Trans ta, std::size_t ic, std::size_t pc,
             std::size_t mc, std::size_t kc, std::size_t mr_tile, float* buf) {
-  for (std::size_t ir = 0; ir < mc; ir += mr_tile) {
+  for (std::size_t ir = 0; ir < mc; ir += mr_tile, buf += kc * mr_tile) {
     const std::size_t mr = std::min(mr_tile, mc - ir);
-    for (std::size_t p = 0; p < kc; ++p) {
-      for (std::size_t i = 0; i < mr; ++i) *buf++ = at(A, lda, ta, ic + ir + i, pc + p);
-      for (std::size_t i = mr; i < mr_tile; ++i) *buf++ = 0.0f;
+    if (ta == Trans::N) {  // row by row, so the reads are unit-stride
+      for (std::size_t i = 0; i < mr; ++i) {
+        const float* arow = A + (ic + ir + i) * lda + pc;
+        for (std::size_t p = 0; p < kc; ++p) buf[p * mr_tile + i] = arow[p];
+      }
+    } else {
+      for (std::size_t p = 0; p < kc; ++p)
+        for (std::size_t i = 0; i < mr; ++i) buf[p * mr_tile + i] = A[(pc + p) * lda + ic + ir + i];
     }
+    for (std::size_t p = 0; p < kc; ++p)
+      for (std::size_t i = mr; i < mr_tile; ++i) buf[p * mr_tile + i] = 0.0f;
   }
 }
 
@@ -68,15 +72,44 @@ void pack_b(const float* B, std::size_t ldb, Trans tb, std::size_t pc, std::size
   }
 }
 
+/// Where C[i, j] lives. A plain row-major C leaves img_cols at its
+/// maximum: element (i, j) is base[i*ldc + j]. A convolution's NCHW output
+/// splits the columns into images of img_cols columns; image b is then a
+/// row-major [m, img_cols] block (ldc = img_cols) at base + b*img_stride.
+struct CView {
+  float* base;
+  std::size_t ldc;
+  std::size_t img_cols = static_cast<std::size_t>(-1);
+  std::size_t img_stride = 0;
+};
+
+/// C[i0 + i, j0 + j] += tile[i*ld + j] for an mr x nr tile whose columns
+/// cross at least one image boundary of C.
+inline void add_split_tile(const float* tile, std::size_t ld, std::size_t mr, std::size_t nr,
+                           const CView& c, std::size_t i0, std::size_t j0) {
+  for (std::size_t t = 0; t < nr;) {
+    const std::size_t img = (j0 + t) / c.img_cols, col = j0 + t - img * c.img_cols;
+    const std::size_t len = std::min(nr - t, c.img_cols - col);
+    float* dst = c.base + img * c.img_stride + i0 * c.ldc + col;
+    for (std::size_t i = 0; i < mr; ++i)
+      for (std::size_t u = 0; u < len; ++u) dst[i * c.ldc + u] += tile[i * ld + t + u];
+    t += len;
+  }
+}
+
 using MacroKernelFn = void (*)(const float* apack, const float* bpack, std::size_t mc,
-                               std::size_t nc, std::size_t kc, float* C, std::size_t ldc);
+                               std::size_t nc, std::size_t kc, const CView& c, std::size_t ic,
+                               std::size_t jc);
 
 // One micro + macro kernel pair per ISA. The micro-kernel keeps an MR x NR
 // accumulator block in registers across the whole KC depth; the loops are
 // plain counted loops over contiguous packed panels, which every supported
 // compiler turns into broadcast-FMA vector code for the annotated target.
 // Tile shapes are per-ISA: they are chosen so the accumulator block fills
-// (but does not spill) that ISA's vector register file.
+// (but does not spill) that ISA's vector register file. The macro-kernel
+// adds each tile into C[ic:ic+mc, jc:jc+nc]; a tile that crosses an image
+// boundary of a convolution's output lands in a zeroed stack tile first
+// (0 + acc is acc bitwise: acc starts at +0 and so is never -0).
 #define HDCZSC_DEFINE_GEMM_KERNEL(suffix, attrs, MR_, NR_)                                \
   attrs static void micro_##suffix(const float* a, const float* b, std::size_t kc,        \
                                    float* C, std::size_t ldc, std::size_t mr,             \
@@ -100,17 +133,27 @@ using MacroKernelFn = void (*)(const float* apack, const float* bpack, std::size
     }                                                                                     \
   }                                                                                       \
   attrs static void macro_##suffix(const float* apack, const float* bpack, std::size_t mc, \
-                                   std::size_t nc, std::size_t kc, float* C,              \
-                                   std::size_t ldc) {                                     \
+                                   std::size_t nc, std::size_t kc, const CView& c,        \
+                                   std::size_t ic, std::size_t jc) {                      \
     constexpr std::size_t MR = (MR_), NR = (NR_);                                         \
+    std::size_t img = jc / c.img_cols, col = jc - img * c.img_cols;                       \
     for (std::size_t jr = 0; jr < nc; jr += NR) {                                         \
       const std::size_t nr = std::min(NR, nc - jr);                                       \
       const float* bp = bpack + (jr / NR) * (kc * NR);                                    \
+      float* cj = c.base + img * c.img_stride + ic * c.ldc + col;                         \
+      const bool split = nr > c.img_cols - col;                                           \
       for (std::size_t ir = 0; ir < mc; ir += MR) {                                       \
         const std::size_t mr = std::min(MR, mc - ir);                                     \
         const float* ap = apack + (ir / MR) * (kc * MR);                                  \
-        micro_##suffix(ap, bp, kc, C + ir * ldc + jr + 0, ldc, mr, nr);                   \
+        if (!split) {                                                                     \
+          micro_##suffix(ap, bp, kc, cj + ir * c.ldc, c.ldc, mr, nr);                     \
+        } else {                                                                          \
+          float tile[MR * NR] = {};                                                       \
+          micro_##suffix(ap, bp, kc, tile, NR, mr, nr);                                   \
+          add_split_tile(tile, NR, mr, nr, c, ic + ir, jc + jr);                          \
+        }                                                                                 \
       }                                                                                   \
+      for (col += NR; col >= c.img_cols; col -= c.img_cols) ++img;                        \
     }                                                                                     \
   }
 
@@ -157,11 +200,13 @@ std::size_t round_up(std::size_t x, std::size_t to) { return (x + to - 1) / to *
 /// Run the flattened (jc, ic) block-task grid of C[m, n] += op(A) * op(B).
 /// `b_block(jc, nc, pc, kc)` yields the packed op(B)[pc:pc+kc, jc:jc+nc]
 /// panels for the calling thread. Each task packs its own A panels into
-/// thread-local scratch, so workers never share pack buffers.
-template <typename BBlock>
+/// thread-local scratch, so workers never share pack buffers. After a
+/// task's last depth block, `finish(ic, mc, jc, nc)` runs on the C block it
+/// alone wrote.
+template <typename BBlock, typename Finish>
 void run_blocked(const KernelConfig& cfg, Trans ta, std::size_t m, std::size_t n, std::size_t k,
-                 const float* A, std::size_t lda, float* C, std::size_t ldc,
-                 const BBlock& b_block) {
+                 const float* A, std::size_t lda, const CView& c, const BBlock& b_block,
+                 const Finish& finish) {
   const std::size_t workers = m * n * k < kGemmInlineMacs ? 1 : util::worker_count();
   // Shrink the row-block height when the (jc, ic) grid alone would leave
   // workers idle (e.g. Linear layers: m = batch <= 128, n <= 1024 is a
@@ -188,14 +233,161 @@ void run_blocked(const KernelConfig& cfg, Trans ta, std::size_t m, std::size_t n
       const std::size_t kc = std::min(kKC, k - pc);
       const float* bpack = b_block(jc, nc, pc, kc);
       pack_a(A, lda, ta, ic, pc, mc, kc, cfg.mr, apack);
-      cfg.macro(apack, bpack, mc, nc, kc, C + ic * ldc + jc, ldc);
+      cfg.macro(apack, bpack, mc, nc, kc, c, ic, jc);
     }
+    finish(ic, mc, jc, nc);
   };
   if (workers > 1) {
     util::parallel_for(0, n_tasks, task, 1);
   } else {
     for (std::size_t t = 0; t < n_tasks; ++t) task(t);
   }
+}
+
+constexpr auto kNoFinish = [](std::size_t, std::size_t, std::size_t, std::size_t) {};
+
+// ------------------------------------------------------------- convolution
+
+/// dst[p*ld + u] = src[tap[p] + u*stride] for p < kc, u < len: one run of
+/// columns of a convolution's B panel, one strided copy per kernel tap.
+/// Instantiated for the run widths resnet shapes produce under each NR, so
+/// that those copies are fixed-length and unrolled.
+template <std::size_t kLen, std::size_t kStride>
+void copy_run(float* dst, std::size_t ld, const float* src, const std::size_t* tap,
+              std::size_t kc, std::size_t len, std::size_t stride) {
+  if constexpr (kLen != 0) len = kLen;
+  if constexpr (kStride != 0) stride = kStride;
+  for (std::size_t p = 0; p < kc; ++p, dst += ld) {
+    const float* s = src + tap[p];
+    for (std::size_t u = 0; u < len; ++u) dst[u] = s[u * stride];
+  }
+}
+
+using CopyRunFn = void (*)(float*, std::size_t, const float*, const std::size_t*, std::size_t,
+                           std::size_t, std::size_t);
+
+CopyRunFn pick_copy_run(std::size_t len, std::size_t stride) {
+  if (stride == 1 || stride == 2) {
+    const bool s1 = stride == 1;
+    switch (len) {
+      case 8: return s1 ? copy_run<8, 1> : copy_run<8, 2>;
+      case 16: return s1 ? copy_run<16, 1> : copy_run<16, 2>;
+      case 24: return s1 ? copy_run<24, 1> : copy_run<24, 2>;
+      case 32: return s1 ? copy_run<32, 1> : copy_run<32, 2>;
+      default: break;
+    }
+  }
+  return copy_run<0, 0>;
+}
+
+/// dst[y*ld + u] = src[y*w + u] for y < rows, u < w: an image plane's rows
+/// into the interior of its zero-padded copy.
+template <std::size_t kW>
+void copy_rows(float* dst, std::size_t ld, const float* src, std::size_t rows, std::size_t w) {
+  if constexpr (kW != 0) w = kW;
+  for (std::size_t y = 0; y < rows; ++y, dst += ld, src += w)
+    for (std::size_t u = 0; u < w; ++u) dst[u] = src[u];
+}
+
+using CopyRowsFn = void (*)(float*, std::size_t, const float*, std::size_t, std::size_t);
+
+CopyRowsFn pick_copy_rows(std::size_t w) {
+  switch (w) {
+    case 8: return copy_rows<8>;
+    case 16: return copy_rows<16>;
+    case 32: return copy_rows<32>;
+    default: return copy_rows<0>;
+  }
+}
+
+/// Pack rows [pc, pc+kc) x columns [jc, jc+nc) of a convolution's im2col
+/// matrix into NR-wide panels laid out as pack_b lays them, reading the
+/// zero-padded images xp [batch, in_c, hp, wp] directly. Column j is output
+/// pixel (oy, ox) of image j / (oh·ow); row r is the kernel tap (c, ki, kj)
+/// with r = (c·k + ki)·k + kj; the element is xp[img][c][oy·stride + ki]
+/// [ox·stride + kj], always in bounds. Each panel is cut once into runs of
+/// columns on one output row; for every tap a run is one copy of len floats
+/// spaced `stride` apart in one input row.
+void pack_b_conv(const ConvShape& s, const float* xp, std::size_t hp, std::size_t wp,
+                 std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc,
+                 std::size_t nr_tile, float* buf) {
+  const std::size_t kk = s.kernel, ow = s.out_w(), ncols = s.out_h() * ow;
+  const std::size_t plane = hp * wp, stride = s.stride;
+  std::size_t tap[kKC];  // offset of tap pc + p from its column's first tap
+  std::size_t c = pc / (kk * kk), ki = pc / kk % kk, kj = pc % kk;
+  for (std::size_t p = 0; p < kc; ++p) {
+    tap[p] = c * plane + ki * wp + kj;
+    if (++kj == kk) {
+      kj = 0;
+      if (++ki == kk) {
+        ki = 0;
+        ++c;
+      }
+    }
+  }
+  for (std::size_t jr = 0; jr < nc; jr += nr_tile, buf += kc * nr_tile) {
+    const std::size_t nr = std::min(nr_tile, nc - jr);
+    for (std::size_t t = 0; t < nr;) {
+      const std::size_t j = jc + jr + t, img = j / ncols, oy = j % ncols / ow, ox = j % ow;
+      const std::size_t len = std::min(nr - t, ow - ox);
+      pick_copy_run(len, stride)(buf + t, nr_tile,
+                                 xp + img * s.in_c * plane + oy * stride * wp + ox * stride, tap,
+                                 kc, len, stride);
+      t += len;
+    }
+    for (std::size_t p = 0; p < kc; ++p)
+      for (std::size_t t = nr; t < nr_tile; ++t) buf[p * nr_tile + t] = 0.0f;
+  }
+}
+
+/// The ConvEpilogue over rows [i0, i0+mc) x columns [j0, j0+nc) of a conv's
+/// NCHW output, instantiated per combination of steps so that each row
+/// segment is one branch-free loop. It runs in this baseline-ISA
+/// translation unit, outside the FMA-enabled kernels, so `g * xhat + beta`
+/// stays a rounded multiply then a rounded add, as in BatchNorm2d.
+template <bool kBias, bool kBn, bool kResidual, bool kRelu>
+void conv_epilogue(const ConvEpilogue& ep, const CView& c, std::size_t i0, std::size_t mc,
+                   std::size_t j0, std::size_t nc) {
+  for (std::size_t t = 0; t < nc;) {
+    const std::size_t img = (j0 + t) / c.img_cols, col = j0 + t - img * c.img_cols;
+    const std::size_t len = std::min(nc - t, c.img_cols - col);
+    for (std::size_t i = i0; i < i0 + mc; ++i) {
+      const std::size_t off = img * c.img_stride + i * c.ldc + col;
+      float* y = c.base + off;
+      const float* id = kResidual ? ep.residual + off : nullptr;
+      const float bias = kBias ? ep.bias[i] : 0.0f;
+      const float mean = kBn ? ep.bn_mean[i] : 0.0f, inv_std = kBn ? ep.bn_inv_std[i] : 0.0f;
+      const float gamma = kBn ? ep.bn_gamma[i] : 0.0f, beta = kBn ? ep.bn_beta[i] : 0.0f;
+      for (std::size_t u = 0; u < len; ++u) {
+        float v = y[u];
+        if constexpr (kBias) v = v + bias;
+        if constexpr (kBn) {
+          const float xhat = (v - mean) * inv_std;
+          v = gamma * xhat + beta;
+        }
+        if constexpr (kResidual) v = v + id[u];
+        if constexpr (kRelu) v = v < 0.0f ? 0.0f : v;
+        y[u] = v;
+      }
+    }
+    t += len;
+  }
+}
+
+using ConvEpilogueFn = void (*)(const ConvEpilogue&, const CView&, std::size_t, std::size_t,
+                                std::size_t, std::size_t);
+
+template <std::size_t... I>
+constexpr std::array<ConvEpilogueFn, sizeof...(I)> conv_epilogues(std::index_sequence<I...>) {
+  return {&conv_epilogue<(I & 8) != 0, (I & 4) != 0, (I & 2) != 0, (I & 1) != 0>...};
+}
+
+/// The instantiation for `ep`'s steps; null when it has none.
+ConvEpilogueFn pick_conv_epilogue(const ConvEpilogue& ep) {
+  static constexpr auto table = conv_epilogues(std::make_index_sequence<16>());
+  const std::size_t i = (ep.bias ? 8 : 0) | (ep.bn_mean ? 4 : 0) | (ep.residual ? 2 : 0) |
+                        (ep.relu ? 1 : 0);
+  return i == 0 ? nullptr : table[i];
 }
 
 }  // namespace
@@ -266,12 +458,14 @@ void gemm_accumulate(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size
   const KernelConfig& cfg = kernel();
   // B sub-panels are re-packed once per row block of the same column block
   // — redundant work that is O(k*n) against the O(m*n*k) compute it unlocks.
-  run_blocked(cfg, ta, m, n, k, A, lda, C, ldc,
-              [&](std::size_t jc, std::size_t nc, std::size_t pc, std::size_t kc) {
-                float* bpack = scratch_f32(kScratchGemmPackB, round_up(nc, cfg.nr) * kKC);
-                pack_b(B, ldb, tb, pc, jc, kc, nc, cfg.nr, bpack);
-                return static_cast<const float*>(bpack);
-              });
+  run_blocked(
+      cfg, ta, m, n, k, A, lda, CView{C, ldc},
+      [&](std::size_t jc, std::size_t nc, std::size_t pc, std::size_t kc) {
+        float* bpack = scratch_f32(kScratchGemmPackB, round_up(nc, cfg.nr) * kKC);
+        pack_b(B, ldb, tb, pc, jc, kc, nc, cfg.nr, bpack);
+        return static_cast<const float*>(bpack);
+      },
+      kNoFinish);
 }
 
 // Panel layout: column blocks of kNC in order; inside column block jc the
@@ -297,10 +491,68 @@ void gemm_packed(std::size_t m, const float* A, std::size_t lda, const PackedB& 
                  std::size_t ldc) {
   if (m == 0 || B.n_ == 0 || B.k_ == 0) return;
   const obs::ScopedTimer profile(gemm_hist());
-  run_blocked(kernel(), Trans::N, m, B.n_, B.k_, A, lda, C, ldc,
-              [&](std::size_t jc, std::size_t, std::size_t pc, std::size_t) {
-                return B.panels_.data() + B.offset(jc, pc);
-              });
+  run_blocked(
+      kernel(), Trans::N, m, B.n_, B.k_, A, lda, CView{C, ldc},
+      [&](std::size_t jc, std::size_t, std::size_t pc, std::size_t) {
+        return B.panels_.data() + B.offset(jc, pc);
+      },
+      kNoFinish);
+}
+
+void gemm_conv(const ConvShape& s, const float* W, const float* X, const ConvEpilogue& ep,
+               float* Y) {
+  const std::size_t ncols = s.out_h() * s.out_w();
+  const std::size_t m = s.out_c, n = s.batch * ncols, k = s.in_c * s.kernel * s.kernel;
+  if (m == 0 || n == 0) return;
+  const obs::ScopedTimer profile(gemm_hist());
+
+  // Stage a zero-padded copy of the images once, so that every tap of
+  // every output pixel reads in bounds: zero it whole, then copy the input
+  // rows of each plane into place.
+  const std::size_t hp = s.h + 2 * s.pad, wp = s.w + 2 * s.pad;
+  const float* xp = X;
+  if (s.pad > 0) {
+    const std::size_t planes = s.batch * s.in_c;
+    float* buf = scratch_f32(kScratchConvCols, planes * hp * wp);
+    std::fill(buf, buf + planes * hp * wp, 0.0f);
+    const CopyRowsFn copy_rows = pick_copy_rows(s.w);
+    for (std::size_t plane = 0; plane < planes; ++plane)
+      copy_rows(buf + (plane * hp + s.pad) * wp + s.pad, wp, X + plane * s.h * s.w, s.h, s.w);
+    xp = buf;
+  }
+
+  const CView view{Y, ncols, ncols, m * ncols};
+  const ConvEpilogueFn epilogue = pick_conv_epilogue(ep);
+  const auto finish = [&](std::size_t ic, std::size_t mc, std::size_t jc, std::size_t nc) {
+    if (epilogue) epilogue(ep, view, ic, mc, jc, nc);
+  };
+  if (m * n * k < kGemmNaiveCutoff) {
+    // gemm_accumulate's route for small products: the naive loop over the
+    // explicit column matrix, one image's column slice at a time.
+    const std::size_t kk = s.kernel, ow = s.out_w();
+    float* cols = scratch_f32(kScratchGemmPackB, k * n);
+    for (std::size_t r = 0; r < k; ++r) {
+      const float* tap = xp + (r / (kk * kk) * hp + r / kk % kk) * wp + r % kk;
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t img = j / ncols, oy = j % ncols / ow, ox = j % ow;
+        cols[r * n + j] = tap[img * s.in_c * hp * wp + (oy * wp + ox) * s.stride];
+      }
+    }
+    for (std::size_t b = 0; b < s.batch; ++b)
+      gemm_naive(Trans::N, Trans::N, m, ncols, k, W, k, cols + b * ncols, n, Y + b * m * ncols,
+                 ncols);
+    finish(0, m, 0, n);
+    return;
+  }
+  const KernelConfig& cfg = kernel();
+  run_blocked(
+      cfg, Trans::N, m, n, k, W, k, view,
+      [&](std::size_t jc, std::size_t nc, std::size_t pc, std::size_t kc) {
+        float* bpack = scratch_f32(kScratchGemmPackB, round_up(nc, cfg.nr) * kKC);
+        pack_b_conv(s, xp, hp, wp, pc, jc, kc, nc, cfg.nr, bpack);
+        return static_cast<const float*>(bpack);
+      },
+      finish);
 }
 
 }  // namespace hdczsc::tensor

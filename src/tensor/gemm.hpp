@@ -2,8 +2,8 @@
 //
 // This is the compute core every dense hot path routes through:
 // tensor::matmul / matmul_nt / matmul_tn, Linear forward/backward, and the
-// whole-batch im2col convolution. The design is the classic three-level
-// blocking scheme (BLIS-style):
+// whole-batch convolution (gemm_conv forward, im2col GEMMs backward). The
+// design is the classic three-level blocking scheme (BLIS-style):
 //
 //   * B is packed into NR-wide column panels (KC x NC block),
 //   * A is packed into MR-tall row panels (MC x KC block),
@@ -83,6 +83,50 @@ class PackedB {
 /// whenever that one takes the blocked path (m·n·k >= kGemmNaiveCutoff).
 void gemm_packed(std::size_t m, const float* A, std::size_t lda, const PackedB& B, float* C,
                  std::size_t ldc);
+
+/// A square-kernel convolution over an NCHW input [batch, in_c, h, w] with
+/// [out_c, in_c, kernel, kernel] weights, as gemm_conv computes it.
+struct ConvShape {
+  std::size_t batch = 0, in_c = 0, h = 0, w = 0;
+  std::size_t out_c = 0, kernel = 1, stride = 1, pad = 0;
+
+  std::size_t out_h() const { return (h + 2 * pad - kernel) / stride + 1; }
+  std::size_t out_w() const { return (w + 2 * pad - kernel) / stride + 1; }
+};
+
+/// What gemm_conv does to each output element after the last depth block,
+/// per output channel oc and in the unfused layers' float order:
+///   v += bias[oc];                                        (conv bias)
+///   v = bn_gamma[oc] * ((v - bn_mean[oc]) * bn_inv_std[oc]) + bn_beta[oc];
+///                                                         (eval BatchNorm)
+///   v += residual[same NCHW index];                       (residual add)
+///   v = v < 0 ? 0 : v;                                    (ReLU select)
+/// A null pointer (or relu == false) skips its step; BN takes all four of
+/// its arrays or none. Every step is one rounded float operation, as in
+/// the separate layers — no multiply-add is contracted — so the fused
+/// result is bitwise the layer-by-layer one.
+struct ConvEpilogue {
+  const float* bias = nullptr;
+  const float* bn_mean = nullptr;
+  const float* bn_inv_std = nullptr;
+  const float* bn_gamma = nullptr;
+  const float* bn_beta = nullptr;
+  const float* residual = nullptr;  ///< NCHW, shaped like Y
+  bool relu = false;
+};
+
+/// Y = epilogue(W_flat · im2col(X)), written as NCHW [batch, out_c, out_h,
+/// out_w] into Y, which must be zero on entry. The im2col column matrix
+/// is never built: each GEMM task packs its NR-wide B panels straight from
+/// a zero-padded copy of X, and the micro-kernel tiles accumulate into Y
+/// itself, split at image boundaries. The epilogue then runs once per task
+/// over its finished block. Products below kGemmNaiveCutoff run
+/// gemm_naive over an explicit column matrix instead. Either way each Y
+/// element is bitwise what gemm_accumulate over nn::im2col's matrix,
+/// followed by the epilogue's layers one at a time, computes — for every
+/// worker count.
+void gemm_conv(const ConvShape& s, const float* W, const float* X, const ConvEpilogue& ep,
+               float* Y);
 
 /// Reference implementation with the same contract (triple loop, no packing,
 /// no threading). Kept for equivalence tests and speedup benchmarks.

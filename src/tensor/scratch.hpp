@@ -1,5 +1,5 @@
 // Thread-local scratch buffers for hot-path workspaces (GEMM panel packing,
-// whole-batch im2col matrices, conv gradient staging).
+// padded conv inputs, whole-batch im2col matrices, conv gradient staging).
 //
 // Buffers grow monotonically and are reused across calls, so a steady-state
 // forward/backward pass performs no heap allocation. Each slot is one buffer
@@ -19,8 +19,8 @@ namespace hdczsc::tensor {
 enum ScratchSlot : std::size_t {
   kScratchGemmPackA = 0,  ///< per-thread packed A panel (one per GEMM block task)
   kScratchGemmPackB = 1,  ///< per-thread packed B panel (one per GEMM block task)
-  kScratchConvCols = 2,   ///< whole-batch im2col matrix [krows, B*oh*ow]
-  kScratchConvOut = 3,    ///< conv forward GEMM output / backward gathered grads
+  kScratchConvCols = 2,   ///< zero-padded conv input (forward) / im2col matrix (backward)
+  kScratchConvOut = 3,    ///< conv backward gathered grads / int8 conv accumulators
   kScratchConvDCols = 4,  ///< conv backward column-gradient matrix
   kScratchGeneric = 5,    ///< unassigned general-purpose workspace
   kScratchSlots = 6

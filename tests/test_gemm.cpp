@@ -1,6 +1,6 @@
 // Equivalence and steady-state-allocation tests for the blocked GEMM compute
-// core (tensor/gemm.hpp) and the whole-batch im2col convolution that rides
-// on it.
+// core (tensor/gemm.hpp) and the whole-batch convolution that rides on it,
+// fused eval epilogue included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,8 +8,11 @@
 #include <cstring>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "hdc/hypervector.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/resnet.hpp"
+#include "serve/snapshot.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_int8.hpp"
 #include "tensor/ops.hpp"
@@ -402,6 +405,202 @@ TEST(GemmConv, SteadyStateBackwardDoesNotAllocateScratch) {
   }
   EXPECT_EQ(tensor::scratch_grow_count(), grown)
       << "steady-state conv backward must reuse thread-local scratch";
+  util::set_worker_count(0);
+}
+
+// -- fused eval convolution (tensor::gemm_conv) -------------------------------
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Conv2d's forward built from public primitives, as the layer computed it
+/// before gemm_conv: the whole-batch im2col matrix, one gemm_accumulate into
+/// a zeroed [out_c, B·oh·ow] buffer, then NCHW rows plus the bias.
+Tensor im2col_gemm_forward(nn::Conv2d& conv, const Tensor& x) {
+  const std::size_t batch = x.size(0), in_c = x.size(1), h = x.size(2), w = x.size(3);
+  const std::size_t kk = conv.kernel(), oh = conv.out_size(h), ow = conv.out_size(w);
+  const std::size_t out_c = conv.out_channels(), krows = in_c * kk * kk, ncols = oh * ow;
+  const std::size_t total = batch * ncols;
+  std::vector<float> cols(krows * total), out(out_c * total, 0.0f);
+  for (std::size_t b = 0; b < batch; ++b)
+    nn::im2col(x.data() + b * in_c * h * w, in_c, h, w, kk, kk, conv.stride(), conv.padding(),
+               cols.data() + b * ncols, total);
+  tensor::gemm_accumulate(Trans::N, Trans::N, out_c, total, krows, conv.weight().value.data(),
+                          krows, cols.data(), total, out.data(), total);
+  Tensor y({batch, out_c, oh, ow});
+  for (std::size_t b = 0; b < batch; ++b)
+    for (std::size_t oc = 0; oc < out_c; ++oc)
+      for (std::size_t c = 0; c < ncols; ++c) {
+        const float v = out[oc * total + b * ncols + c];
+        y[(b * out_c + oc) * ncols + c] = conv.has_bias() ? v + conv.bias().value[oc] : v;
+      }
+  return y;
+}
+
+/// The unfused eval layers a fused conv replaces, applied to the conv's
+/// output: BatchNorm2d, the residual add, ReLU — each its own layer call.
+Tensor eval_layers(const Tensor& conv_out, nn::BatchNorm2d* bn, const Tensor* residual,
+                   bool relu) {
+  Tensor y = bn ? bn->forward(conv_out, false) : conv_out.clone();
+  if (residual) y.add_scaled(*residual, 1.0f);
+  if (relu) y = nn::ReLU().forward(y, false);
+  return y;
+}
+
+/// Running statistics and an affine far enough from the identity that a
+/// skipped or reordered BN step changes the output.
+void randomize_bn(nn::BatchNorm2d& bn, util::Rng& rng) {
+  for (nn::BufferRef b : bn.buffers())
+    for (std::size_t i = 0; i < b.tensor->numel(); ++i)
+      (*b.tensor)[i] = b.name == "bn.running_var" ? static_cast<float>(rng.uniform(0.2, 2.0))
+                                                  : static_cast<float>(rng.normal(0.0, 0.5));
+  for (nn::Parameter* p : bn.parameters())
+    for (std::size_t i = 0; i < p->value.numel(); ++i)
+      p->value[i] = static_cast<float>(rng.normal(p->name == "bn.gamma" ? 1.0 : 0.0, 0.5));
+}
+
+TEST(GemmConv, ForwardAndFusedFormsMatchLayerByLayerBitwise) {
+  struct Case {
+    std::size_t in_c, out_c, kernel, stride, pad, h, w;
+    const char* what;
+  };
+  const Case cases[] = {
+      // 225 columns per image: NR-wide tiles straddle output rows and images.
+      {8, 8, 3, 1, 1, 15, 15, "3x3/1 -> 15x15"},
+      {8, 16, 3, 2, 1, 13, 13, "3x3/2 -> 7x7"},
+      {8, 16, 1, 2, 0, 10, 10, "1x1/2 downsample -> 5x5"},
+      {3, 8, 7, 2, 3, 13, 13, "7x7/2 -> 7x7"},
+      {32, 8, 3, 1, 1, 5, 5, "k = 288 > KC -> 5x5"},
+      {64, 16, 3, 1, 1, 5, 7, "k = 576 -> 5x7"},
+  };
+  util::Rng rng(26);
+  std::size_t naive = 0, blocked = 0;
+  for (const Case& c : cases) {
+    for (bool bias : {false, true}) {
+      nn::Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, c.pad, rng, bias);
+      for (std::size_t i = 0; i < c.out_c; ++i)
+        conv.bias().value[i] = static_cast<float>(rng.normal(0.0, 1.0));
+      nn::BatchNorm2d bn(c.out_c);
+      randomize_bn(bn, rng);
+      for (std::size_t batch : {1u, 2u, 3u, 4u, 7u, 16u, 33u}) {
+        const Tensor x = Tensor::randn({batch, c.in_c, c.h, c.w}, rng);
+        const Tensor residual =
+            Tensor::randn({batch, c.out_c, conv.out_size(c.h), conv.out_size(c.w)}, rng);
+        const std::size_t macs = residual.numel() * c.in_c * c.kernel * c.kernel;  // m·n·k
+        ++(macs < tensor::kGemmNaiveCutoff ? naive : blocked);
+        const Tensor conv_out = im2col_gemm_forward(conv, x);
+        Tensor want[8];
+        for (int form = 0; form < 8; ++form)
+          want[form] = eval_layers(conv_out, (form & 4) ? &bn : nullptr,
+                                   (form & 2) ? &residual : nullptr, (form & 1) != 0);
+        for (std::size_t workers : {1u, 2u, 4u}) {
+          util::set_worker_count(workers);
+          const std::string where = std::string(c.what) + (bias ? " +bias" : "") +
+                                    " batch=" + std::to_string(batch) +
+                                    " workers=" + std::to_string(workers);
+          ASSERT_TRUE(bitwise_equal(conv.forward(x, false), want[0])) << where << " forward";
+          for (int form = 0; form < 8; ++form)
+            ASSERT_TRUE(bitwise_equal(conv.forward_fused(x, (form & 4) ? &bn : nullptr,
+                                                         (form & 2) ? &residual : nullptr,
+                                                         (form & 1) != 0),
+                                      want[form]))
+                << where << (form & 4 ? " +bn" : "") << (form & 2 ? " +residual" : "")
+                << (form & 1 ? " +relu" : "");
+        }
+      }
+    }
+  }
+  util::set_worker_count(0);
+  EXPECT_GT(naive, 0u);  // both gemm_conv routes ran
+  EXPECT_GT(blocked, 0u);
+}
+
+TEST(GemmConv, FusedFormRejectsMismatchedBnAndResidual) {
+  util::Rng rng(27);
+  nn::Conv2d conv(4, 8, 3, 1, 1, rng);
+  const Tensor x = Tensor::randn({2, 4, 6, 6}, rng);
+  nn::BatchNorm2d wrong_bn(6);
+  EXPECT_THROW(conv.forward_fused(x, &wrong_bn, nullptr, false), std::invalid_argument);
+  const Tensor wrong_residual({2, 8, 6, 5});
+  EXPECT_THROW(conv.forward_fused(x, nullptr, &wrong_residual, true), std::invalid_argument);
+}
+
+/// A small trained resnet_micro_flat snapshot (32x32 images), built once.
+struct TrainedFlat {
+  core::TrainedPipeline tp;
+  std::shared_ptr<const serve::ModelSnapshot> snapshot;
+
+  static const TrainedFlat& get() {
+    static TrainedFlat t;
+    return t;
+  }
+
+ private:
+  TrainedFlat() {
+    core::PipelineConfig cfg;
+    cfg.n_classes = 8;
+    cfg.images_per_class = 4;
+    cfg.train_instances = 3;
+    cfg.image_size = 32;
+    cfg.split = "zs";
+    cfg.zs_train_classes = 6;
+    cfg.model.image.arch = "resnet_micro_flat";
+    cfg.model.image.proj_dim = 64;
+    cfg.run_phase1 = false;
+    cfg.phase2 = {2, 8, 1e-2f, 1e-4f, 5.0f, true, false};
+    cfg.phase3 = {2, 8, 1e-2f, 1e-4f, 5.0f, true, false};
+    cfg.augment.enabled = false;
+    tp = core::run_pipeline_trained(cfg);
+    snapshot = std::make_shared<serve::ModelSnapshot>(tp.model, tp.test_class_attributes);
+  }
+};
+
+/// `batch` images from the trained pipeline's test set, wrapping around.
+Tensor test_images(std::size_t batch) {
+  const Tensor& all = TrainedFlat::get().tp.test_set.images;
+  const std::size_t per = all.numel() / all.size(0);
+  Tensor out({batch, all.size(1), all.size(2), all.size(3)});
+  for (std::size_t b = 0; b < batch; ++b)
+    std::memcpy(out.data() + b * per, all.data() + (b % all.size(0)) * per, per * sizeof(float));
+  return out;
+}
+
+TEST(GemmConv, TrainedEmbedEqualsLayerByLayerWalk) {
+  const TrainedFlat& t = TrainedFlat::get();
+  core::ImageEncoder& enc = t.snapshot->model_ptr()->image_encoder();
+  nn::Sequential& net = enc.backbone();
+  ASSERT_EQ(net.size(), 7u);  // conv, bn, relu, 3 BasicBlocks, flatten
+  nn::ReLU relu;
+  for (std::size_t batch : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 17u, 32u, 33u}) {
+    const Tensor images = test_images(batch);
+    Tensor x = net[2].forward(net[1].forward(net[0].forward(images, false), false), false);
+    for (std::size_t i = 3; i < 6; ++i) {
+      auto& block = dynamic_cast<nn::BasicBlock&>(net[i]);
+      Tensor identity = x;
+      if (block.down_conv())
+        identity = block.down_bn()->forward(block.down_conv()->forward(x, false), false);
+      Tensor h = relu.forward(block.bn1().forward(block.conv1().forward(x, false), false), false);
+      h = block.bn2().forward(block.conv2().forward(h, false), false);
+      h.add_scaled(identity, 1.0f);
+      x = relu.forward(h, false);
+    }
+    x = enc.projection()->forward(net[6].forward(x, false), false);
+    EXPECT_TRUE(bitwise_equal(t.snapshot->embed(images), x)) << "batch " << batch;
+  }
+}
+
+TEST(GemmConv, SteadyStateEvalEmbedGrowsNoScratch) {
+  util::set_worker_count(1);  // see SteadyStateForwardDoesNotAllocateScratch
+  const TrainedFlat& t = TrainedFlat::get();
+  const Tensor b1 = test_images(1), b2 = test_images(2), b3 = test_images(3);
+  t.snapshot->embed(b3);  // warm-up at the largest batch
+  const std::size_t grown = tensor::scratch_grow_count();
+  for (int i = 0; i < 3; ++i)
+    for (const Tensor* images : {&b1, &b2, &b3}) t.snapshot->embed(*images);
+  EXPECT_EQ(tensor::scratch_grow_count(), grown)
+      << "steady-state eval embeds must reuse thread-local scratch";
   util::set_worker_count(0);
 }
 

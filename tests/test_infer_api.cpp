@@ -202,6 +202,17 @@ TEST(InferApi, NamedStatusesForBadRequests) {
     req.input = Tensor();
     EXPECT_EQ(status_of(std::move(req)), serve::InferStatus::kBadShape);
   }
+  // Images the backbone cannot embed: a channel count other than the
+  // stem's, and (flat tail) any size but the one it was built for, even at
+  // the right element count.
+  for (const tensor::Shape& shape :
+       {tensor::Shape{4, 32, 32}, tensor::Shape{3, 16, 64}, tensor::Shape{3, 64, 64}}) {
+    serve::InferRequest req;
+    req.input = Tensor(shape);
+    const serve::InferResult r = server.submit(std::move(req)).get();
+    EXPECT_EQ(r.status, serve::InferStatus::kBadShape) << tensor::shape_str(shape);
+    EXPECT_NE(r.message.find("[3,32,32]"), std::string::npos) << r.message;
+  }
   {  // embedding with the wrong width
     serve::InferRequest req;
     req.input = Tensor({s.snapshot->dim() + 1});

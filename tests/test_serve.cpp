@@ -724,14 +724,24 @@ TEST(ServerRuntime, MalformedRequestFailsAloneWithoutPoisoningItsBatch) {
 
   // A wrong-sized (but 3-d) image coalesced between valid requests must
   // fail alone; the valid requests around it still complete correctly.
-  std::vector<std::future<serve::InferResult>> valid;
+  // [3,16,64] holds as many floats as a valid [3,32,32] image, so a batch
+  // grouped by element count alone would take it, and the flat backbone
+  // would read its pixels — and its batch-mates' — as [3,32,32].
+  ASSERT_EQ(images.size(2), 32u);
+  std::vector<std::future<serve::InferResult>> valid, bad;
+  bad.push_back(submit_one(Tensor({3, 16, 64})));
   valid.push_back(submit_one(slice_image(images, 0)));
-  auto bad = submit_one(Tensor({3, 4, 4}));
+  bad.push_back(submit_one(Tensor({3, 4, 4})));
+  bad.push_back(submit_one(Tensor({3, 16, 64})));
   valid.push_back(submit_one(slice_image(images, 1)));
   server.start();
-  EXPECT_EQ(valid[0].get().top().label, expected[0].label);
-  EXPECT_EQ(valid[1].get().top().label, expected[1].label);
-  EXPECT_EQ(bad.get().status, serve::InferStatus::kBadShape);
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    const serve::InferResult r = valid[i].get();
+    ASSERT_EQ(r.status, serve::InferStatus::kOk) << r.message;
+    EXPECT_EQ(r.top().label, expected[i].label);
+    EXPECT_EQ(r.top().score, expected[i].score);
+  }
+  for (auto& f : bad) EXPECT_EQ(f.get().status, serve::InferStatus::kBadShape);
 }
 
 TEST(ServerRuntime, StopIsTerminal) {
