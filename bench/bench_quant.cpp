@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -105,9 +106,13 @@ int main(int argc, char** argv) {
   util::ArgMap args(argc, argv);
   const std::size_t reps = static_cast<std::size_t>(args.get_int("reps", 5));
   const std::size_t n_classes = static_cast<std::size_t>(args.get_int("classes", 60));
-  const nn::CalibMethod calib = args.get_str("calib-method", "minmax") == "entropy"
-                                    ? nn::CalibMethod::kEntropy
-                                    : nn::CalibMethod::kMinMax;
+  nn::CalibMethod calib{};
+  try {
+    calib = nn::calib_method_from_name(args.get_str("calib-method", "minmax"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_quant: %s\n", e.what());
+    return 2;
+  }
   util::Timer wall;
   util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 7)));
 

@@ -161,28 +161,16 @@ int main(int argc, char** argv) {
   util::ArgMap args(argc, argv);
   if (args.has("connect")) return run_client(args, args.get_str("connect", ""));
 
-  const std::string mode_str = args.get_str("mode", "binary");
-  if (mode_str != "binary" && mode_str != "float") {
-    std::fprintf(stderr, "netserve: unknown --mode=%s (expected float|binary)\n",
-                 mode_str.c_str());
-    return 2;
-  }
-  const serve::ScoringMode mode = mode_str == "binary" ? serve::ScoringMode::kBinaryHamming
-                                                       : serve::ScoringMode::kFloatCosine;
   const std::size_t n_models =
       static_cast<std::size_t>(std::max<long>(1, args.get_int("models", 1)));
-  serve::Precision precision = serve::Precision::kFloat32;
+  serve::ScoringMode mode{};
+  serve::Precision precision{};
+  nn::CalibMethod calib{};
+  serve::RetrievalMode retrieval{};
   try {
+    mode = serve::scoring_mode_from_name(args.get_str("mode", "binary"));
     precision = serve::precision_from_name(args.get_str("precision", "float32"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "netserve: %s\n", e.what());
-    return 2;
-  }
-  const nn::CalibMethod calib = args.get_str("calib-method", "minmax") == "entropy"
-                                    ? nn::CalibMethod::kEntropy
-                                    : nn::CalibMethod::kMinMax;
-  serve::RetrievalMode retrieval = serve::RetrievalMode::kExact;
-  try {
+    calib = nn::calib_method_from_name(args.get_str("calib-method", "minmax"));
     retrieval = serve::retrieval_mode_from_name(args.get_str("retrieval", "exact"));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "netserve: %s\n", e.what());

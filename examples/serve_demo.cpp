@@ -95,26 +95,14 @@ int main(int argc, char** argv) {
   const double stats_interval = args.get_double("stats-interval", 0.0);
   const std::string metrics_out = args.get_str("metrics-out", "");
   if (args.has("profile")) obs::set_profiling_enabled(true);
-  const std::string mode_str = args.get_str("mode", "binary");
-  if (mode_str != "binary" && mode_str != "float") {
-    std::fprintf(stderr, "serve_demo: unknown --mode=%s (expected float|binary)\n",
-                 mode_str.c_str());
-    return 2;
-  }
-  const serve::ScoringMode mode = mode_str == "binary" ? serve::ScoringMode::kBinaryHamming
-                                                       : serve::ScoringMode::kFloatCosine;
-  serve::Precision precision = serve::Precision::kFloat32;
+  serve::ScoringMode mode{};
+  serve::Precision precision{};
+  nn::CalibMethod calib{};
+  serve::RetrievalMode retrieval{};
   try {
+    mode = serve::scoring_mode_from_name(args.get_str("mode", "binary"));
     precision = serve::precision_from_name(args.get_str("precision", "float32"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "serve_demo: %s\n", e.what());
-    return 2;
-  }
-  const nn::CalibMethod calib = args.get_str("calib-method", "minmax") == "entropy"
-                                    ? nn::CalibMethod::kEntropy
-                                    : nn::CalibMethod::kMinMax;
-  serve::RetrievalMode retrieval = serve::RetrievalMode::kExact;
-  try {
+    calib = nn::calib_method_from_name(args.get_str("calib-method", "minmax"));
     retrieval = serve::retrieval_mode_from_name(args.get_str("retrieval", "exact"));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "serve_demo: %s\n", e.what());

@@ -12,7 +12,9 @@
 //       path is bit-identical end-to-end (model rebuild + BN buffers +
 //       frozen prototype rows).
 //   ./snapshot_tool --inspect=model.hdcsnap
-//       print the header / size table without rebuilding the model.
+//       read the artifact through the loader --load uses and print its
+//       header / size table; a file the loader rejects fails here with
+//       the loader's named error.
 //   ./snapshot_tool --quantize=model.hdcsnap --out=model.int8.hdcsnap
 //                   [--calib-method=minmax|entropy] [--calib-images=64]
 //       load a float artifact, post-training-quantize its embed path
@@ -39,6 +41,7 @@
 //       artifact (bitwise the chain's end state, version counter advanced).
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/pipeline.hpp"
 #include "demo_pipeline_config.hpp"
@@ -180,9 +183,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "snapshot_tool: --quantize needs --out=PATH for the v4 artifact\n");
       return 2;
     }
-    const nn::CalibMethod method = args.get_str("calib-method", "minmax") == "entropy"
-                                       ? nn::CalibMethod::kEntropy
-                                       : nn::CalibMethod::kMinMax;
+    nn::CalibMethod method{};
+    try {
+      method = nn::calib_method_from_name(args.get_str("calib-method", "minmax"));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "snapshot_tool: %s\n", e.what());
+      return 2;
+    }
     const std::size_t n_calib = static_cast<std::size_t>(args.get_int("calib-images", 64));
 
     auto snap = serve::load_snapshot_file(in);

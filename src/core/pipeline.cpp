@@ -159,14 +159,8 @@ data::Batch joint_gzsl_eval_set(const TrainedPipeline& tp) {
         "joint_gzsl_eval_set: pipeline was not run with snapshot_gzsl (no seen-domain "
         "artifacts)");
   const std::size_t n_seen_classes = tp.seen_class_attributes.size(0);
-  const tensor::Tensor& seen = tp.seen_set.images;
-  const tensor::Tensor& unseen = tp.test_set.images;
   data::Batch joint;
-  joint.images = tensor::Tensor(
-      {seen.size(0) + unseen.size(0), seen.size(1), seen.size(2), seen.size(3)});
-  std::copy(seen.data(), seen.data() + seen.numel(), joint.images.data());
-  std::copy(unseen.data(), unseen.data() + unseen.numel(),
-            joint.images.data() + seen.numel());
+  joint.images = tensor::concat_rows(tp.seen_set.images, tp.test_set.images);
   joint.labels = tp.seen_set.labels;
   for (std::size_t l : tp.test_set.labels) joint.labels.push_back(l + n_seen_classes);
   return joint;

@@ -215,13 +215,9 @@ GzslEvalResult Trainer::evaluate_gzsl(ZscModel& model, const data::DataLoader& s
   // Joint descriptor matrix: seen rows then unseen rows.
   Tensor seen_a = seen_test.class_attribute_rows();
   Tensor unseen_a = unseen_test.class_attribute_rows();
-  const std::size_t alpha = seen_a.size(1);
-  const std::size_t n_seen = seen_a.size(0), n_unseen = unseen_a.size(0);
-  Tensor joint({n_seen + n_unseen, alpha});
-  std::copy(seen_a.data(), seen_a.data() + seen_a.numel(), joint.data());
-  std::copy(unseen_a.data(), unseen_a.data() + unseen_a.numel(),
-            joint.data() + seen_a.numel());
-  Tensor phi = model.attribute_encoder().encode(joint, false);
+  const std::size_t n_seen = seen_a.size(0);
+  Tensor phi =
+      model.attribute_encoder().encode(tensor::concat_rows(seen_a, unseen_a), false);
 
   auto domain_acc = [&](const data::DataLoader& loader, std::size_t label_offset) {
     data::Batch batch = loader.all_eval();

@@ -464,6 +464,13 @@ const char* calib_method_name(CalibMethod m) {
   return "?";
 }
 
+CalibMethod calib_method_from_name(const std::string& name) {
+  if (name == "minmax") return CalibMethod::kMinMax;
+  if (name == "entropy") return CalibMethod::kEntropy;
+  throw std::invalid_argument("unknown calibration method '" + name +
+                              "' (expected minmax or entropy)");
+}
+
 QuantParams choose_qparams(float lo, float hi) {
   lo = std::min(lo, 0.0f);
   hi = std::max(hi, 0.0f);

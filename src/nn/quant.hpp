@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/linear.hpp"
@@ -47,6 +48,9 @@ enum class CalibMethod : unsigned char {
 };
 
 const char* calib_method_name(CalibMethod m);
+/// Parse "minmax" / "entropy" (the CLI spellings); throws
+/// std::invalid_argument on anything else.
+CalibMethod calib_method_from_name(const std::string& name);
 
 /// Per-tensor asymmetric u8 parameters: real = scale · (code − zero_point).
 struct QuantParams {

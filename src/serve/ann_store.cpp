@@ -326,16 +326,10 @@ IvfIndex IvfIndex::from_parts(const PrototypeStore& base, tensor::Tensor centroi
 void IvfIndex::build_lists() {
   const std::size_t rows = base_->n_classes();
   const std::size_t cc = centroids_.size(0);
-  const std::size_t d = base_->dim();
-  const std::size_t wpr = base_->words_per_row();
 
   // Packed centroid codes (the binary path's probe targets), encoded with
   // the store's own query encoder so expansion/LSH behave identically.
-  centroid_codes_.assign(cc * wpr, 0);
-  for (std::size_t c = 0; c < cc; ++c) {
-    const hdc::BinaryHV code = base_->encode_query(centroids_.data() + c * d);
-    std::copy(code.words().begin(), code.words().end(), centroid_codes_.begin() + c * wpr);
-  }
+  centroid_codes_ = base_->encode_queries(centroids_);
 
   // Inverted lists: counting sort of row ids by centroid — rows stay
   // ascending within each list, so a full probe enumerates labels in the
@@ -491,7 +485,6 @@ std::vector<std::vector<TopK>> IvfIndex::topk_binary(const tensor::Tensor& embed
   std::vector<std::vector<TopK>> out(batch);
   if (k == 0 || batch == 0) return out;
 
-  const std::size_t d = base_->dim();
   const std::size_t np = resolve_nprobe(nprobe);
   const std::size_t wpr = base_->words_per_row();
   const std::size_t wp = prefix_words_;
@@ -506,11 +499,7 @@ std::vector<std::vector<TopK>> IvfIndex::topk_binary(const tensor::Tensor& embed
   const bool integer_select = scale > 0.0f && base_->code_bits() < (std::size_t{1} << 24) &&
                               (!penalized || penalty->integer_exact);
 
-  std::vector<std::uint64_t> qwords(batch * wpr);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const hdc::BinaryHV q = base_->encode_query(embeddings.data() + b * d);
-    std::copy(q.words().begin(), q.words().end(), qwords.begin() + b * wpr);
-  }
+  const std::vector<std::uint64_t> qwords = base_->encode_queries(embeddings);
 
   util::parallel_for(
       0, batch,
@@ -609,11 +598,7 @@ std::vector<std::vector<TopK>> IvfIndex::topk_cascade(const tensor::Tensor& embe
   tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, cc, d, E, d,
                           centroids_.data(), d, cdots.data(), cc);
 
-  std::vector<std::uint64_t> qwords(batch * wpr);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const hdc::BinaryHV q = base_->encode_query(embeddings.data() + b * d);
-    std::copy(q.words().begin(), q.words().end(), qwords.begin() + b * wpr);
-  }
+  const std::vector<std::uint64_t> qwords = base_->encode_queries(embeddings);
 
   util::parallel_for(
       0, batch,

@@ -1,6 +1,5 @@
 #include "serve/engine.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -10,19 +9,15 @@
 
 namespace hdczsc::serve {
 
-namespace {
-
-tensor::Tensor concat_rows(const tensor::Tensor& a, const tensor::Tensor& b) {
-  tensor::Tensor out({a.size(0) + b.size(0), a.size(1)});
-  std::copy(a.data(), a.data() + a.numel(), out.data());
-  std::copy(b.data(), b.data() + b.numel(), out.data() + a.numel());
-  return out;
-}
-
-}  // namespace
-
 std::string scoring_mode_name(ScoringMode mode) {
   return mode == ScoringMode::kFloatCosine ? "float-cosine" : "binary-hamming";
+}
+
+ScoringMode scoring_mode_from_name(const std::string& name) {
+  if (name == "float") return ScoringMode::kFloatCosine;
+  if (name == "binary") return ScoringMode::kBinaryHamming;
+  throw std::invalid_argument("unknown scoring mode '" + name +
+                              "' (expected float or binary)");
 }
 
 std::string precision_name(Precision p) {
@@ -213,27 +208,20 @@ std::vector<Prediction> InferenceEngine::classify_batch(const tensor::Tensor& in
 }
 
 std::shared_ptr<const StoreVersion> InferenceEngine::publish_appended(
-    const std::shared_ptr<const StoreVersion>& cur,
-    std::shared_ptr<const PrototypeStore> new_store, std::vector<std::uint8_t> new_mask,
-    tensor::Tensor new_attrs, std::vector<std::uint32_t> ivf_assignments) const {
+    const std::shared_ptr<const StoreVersion>& cur, VersionParts next) const {
   auto v = std::make_shared<StoreVersion>();
-  v->version = cur->version + 1;
-  v->store = std::move(new_store);
-  v->seen_mask = std::move(new_mask);
+  v->version = next.version;
+  v->store = std::make_shared<const PrototypeStore>(std::move(next.store));
+  v->seen_mask = std::move(next.seen_mask);
   for (std::uint8_t m : v->seen_mask) v->n_seen += m != 0;
-  v->class_attributes = std::move(new_attrs);
+  v->class_attributes = std::move(next.class_attributes);
   v->sharded = std::make_shared<const ShardedPrototypeStore>(*v->store, shard_target_);
   if (cur->ivf)
     v->ivf = std::make_shared<const IvfIndex>(IvfIndex::from_parts(
-        *v->store, cur->ivf->centroids(), std::move(ivf_assignments)));
+        *v->store, cur->ivf->centroids(), std::move(next.ivf_assignments)));
   v->penalty =
       v->store->resolve_penalty(effective_penalty(*v->store, v->seen_mask), v->seen_mask);
-  // Checksums chain: only the new rows are hashed. The base rows' seen
-  // bytes are unchanged by mask materialization (empty mask and all-1s mask
-  // hash identically), so the extension equals a from-scratch checksum.
-  v->content_checksum =
-      extend_content_checksum(cur->content_checksum, *v->store, v->seen_mask,
-                              cur->n_classes());
+  v->content_checksum = next.content_checksum;
   std::unique_lock lock(ver_mu_);
   version_ = v;
   return v;
@@ -251,80 +239,36 @@ std::shared_ptr<const StoreVersion> InferenceEngine::append_classes(
 
   std::lock_guard evolve(evolve_mu_);
   const std::shared_ptr<const StoreVersion> cur = pin();
-  auto new_store =
-      std::make_shared<const PrototypeStore>(cur->store->append_rows(phi));
-  std::vector<std::uint8_t> new_mask =
+  PrototypeStore store = cur->store->append_rows(phi);
+  std::vector<std::uint8_t> mask =
       extend_seen_mask(cur->seen_mask, cur->n_classes(), seen_flags, n_new);
+  // Checksums chain: only the new rows are hashed. The base rows' seen
+  // bytes are unchanged by mask materialization (empty mask and all-1s mask
+  // hash identically), so the extension equals a full re-hash.
+  const std::uint64_t checksum =
+      extend_content_checksum(cur->content_checksum, store, mask, cur->n_classes());
   std::vector<std::uint32_t> assignments;
   if (cur->ivf)
     assignments = extend_ivf_assignments(cur->ivf->centroids(), cur->ivf->assignments(),
-                                         *new_store, cur->n_classes());
-  return publish_appended(cur, std::move(new_store), std::move(new_mask),
-                          concat_rows(cur->class_attributes, attributes),
-                          std::move(assignments));
+                                         store, cur->n_classes());
+  return publish_appended(
+      cur, VersionParts{std::move(store), std::move(mask),
+                        tensor::concat_rows(cur->class_attributes, attributes),
+                        std::move(assignments), checksum, cur->version + 1});
 }
 
 std::shared_ptr<const StoreVersion> InferenceEngine::append_delta(
     const SnapshotDelta& delta) const {
   std::lock_guard evolve(evolve_mu_);
   const std::shared_ptr<const StoreVersion> cur = pin();
-  if (delta.base_rows != cur->n_classes() || delta.base_version != cur->version)
-    throw std::invalid_argument(
-        "InferenceEngine::append_delta: delta expects base version " +
-        std::to_string(delta.base_version) + " with " + std::to_string(delta.base_rows) +
-        " classes, but version " + std::to_string(cur->version) + " with " +
-        std::to_string(cur->n_classes()) + " classes is serving");
-  if (delta.base_checksum != cur->content_checksum)
-    throw std::runtime_error(
-        "InferenceEngine::append_delta: base content checksum mismatch — the delta was "
-        "written against different store content");
-  const std::size_t n_new = delta.normalized_rows.size(0);
-  if (delta.attributes.dim() != 2 || delta.attributes.size(0) != n_new ||
-      delta.attributes.size(1) != cur->class_attributes.size(1))
-    throw std::invalid_argument(
-        "InferenceEngine::append_delta: attribute rows disagree with the delta's "
-        "prototype rows");
-  if (!delta.seen_flags.empty() && delta.seen_flags.size() != n_new)
-    throw std::invalid_argument(
-        "InferenceEngine::append_delta: seen-flag count disagrees with the delta's rows");
-  if (delta.has_ivf && delta.ivf_assignments.size() != n_new)
-    throw std::invalid_argument(
-        "InferenceEngine::append_delta: IVF assignment count disagrees with the delta's "
-        "rows");
-
-  // Adopt the serialized rows verbatim — bitwise what the writer appended.
-  auto new_store = std::make_shared<const PrototypeStore>(
-      cur->store->append_parts(delta.normalized_rows, delta.packed_words));
-  std::vector<std::uint8_t> new_mask =
-      extend_seen_mask(cur->seen_mask, cur->n_classes(), delta.seen_flags, n_new);
-  const std::uint64_t chained =
-      extend_content_checksum(cur->content_checksum, *new_store, new_mask,
-                              cur->n_classes());
-  if (chained != delta.new_checksum)
-    throw std::runtime_error(
-        "InferenceEngine::append_delta: content checksum mismatch after append (corrupt "
-        "delta payload) — keeping the current version");
-
-  std::vector<std::uint32_t> assignments;
-  if (cur->ivf) {
-    if (delta.has_ivf) {
-      assignments = cur->ivf->assignments();
-      assignments.reserve(new_store->n_classes());
-      const std::size_t cc = cur->ivf->n_centroids();
-      for (std::uint32_t a : delta.ivf_assignments) {
-        if (a >= cc)
-          throw std::invalid_argument(
-              "InferenceEngine::append_delta: IVF assignment out of centroid range");
-        assignments.push_back(a);
-      }
-    } else {
-      assignments = extend_ivf_assignments(cur->ivf->centroids(), cur->ivf->assignments(),
-                                           *new_store, cur->n_classes());
-    }
-  }
-  return publish_appended(cur, std::move(new_store), std::move(new_mask),
-                          concat_rows(cur->class_attributes, delta.attributes),
-                          std::move(assignments));
+  const LineageHead head{.store = *cur->store,
+                         .seen_mask = cur->seen_mask,
+                         .class_attributes = cur->class_attributes,
+                         .ivf_centroids = cur->ivf ? &cur->ivf->centroids() : nullptr,
+                         .ivf_assignments = cur->ivf ? &cur->ivf->assignments() : nullptr,
+                         .content_checksum = cur->content_checksum,
+                         .version = cur->version};
+  return publish_appended(cur, apply_delta(head, delta, "InferenceEngine::append_delta"));
 }
 
 }  // namespace hdczsc::serve

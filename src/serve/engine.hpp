@@ -51,10 +51,10 @@
 // unseen), re-derives the sharded view, extends the IVF assignment vector
 // by nearest centroid (no re-clustering), recalibrates the GZSL penalty,
 // extends the content checksum, and publishes the new version with one
-// shared_ptr swap. append_delta() does the same from a persisted
-// SnapshotDelta (snapshot_io.hpp), validating the delta's base
-// row-count/version/checksum first — a mismatched or corrupt delta throws
-// *before* anything is published (strong guarantee). Appends are
+// shared_ptr swap. append_delta() publishes what serve::apply_delta
+// (snapshot_io.hpp) builds from a persisted SnapshotDelta — the step
+// compact_snapshot folds over a chain — and a bad delta throws *before*
+// anything is published (strong guarantee). Appends are
 // logically-const (the registry shares engines as shared_ptr<const>);
 // concurrent appends serialize on an internal mutex.
 #pragma once
@@ -77,6 +77,9 @@ struct SnapshotDelta;  // serve/snapshot_io.hpp
 enum class ScoringMode { kFloatCosine, kBinaryHamming };
 
 std::string scoring_mode_name(ScoringMode mode);
+/// Parse "float" / "binary" (the CLI spellings); throws
+/// std::invalid_argument on anything else.
+ScoringMode scoring_mode_from_name(const std::string& name);
 
 /// Numeric precision of the backbone embed stage. kInt8 routes images
 /// through the snapshot's attached quantized artifact (nn/quant.hpp) —
@@ -180,13 +183,10 @@ class InferenceEngine {
   std::shared_ptr<const StoreVersion> append_classes(
       const tensor::Tensor& attributes, const std::vector<std::uint8_t>& seen_flags = {}) const;
 
-  /// Apply a persisted delta-snapshot record (snapshot_io.hpp): validates
-  /// the delta's base rows/version/content-checksum against the *current*
-  /// version and its own end-state checksum, then appends the delta's
-  /// pre-normalized rows and packed words verbatim — so the resulting
-  /// version is bitwise the one the delta writer serialized. Throws
-  /// std::invalid_argument / std::runtime_error on any mismatch, with the
-  /// previous version still serving (strong guarantee).
+  /// Apply a persisted delta-snapshot record to the *current* version via
+  /// serve::apply_delta (snapshot_io.hpp): the published version is bitwise
+  /// the one the delta writer serialized. Throws what apply_delta throws,
+  /// with the previous version still serving (strong guarantee).
   std::shared_ptr<const StoreVersion> append_delta(const SnapshotDelta& delta) const;
 
   ScoringMode mode() const { return mode_; }
@@ -230,12 +230,10 @@ class InferenceEngine {
   float effective_penalty(const PrototypeStore& store,
                           const std::vector<std::uint8_t>& seen_mask) const;
 
-  /// Shared append tail: build + publish the next version from the
-  /// already-appended store. Caller holds evolve_mu_.
+  /// Shared append tail: derive the views of the next version's parts and
+  /// publish it. Caller holds evolve_mu_.
   std::shared_ptr<const StoreVersion> publish_appended(
-      const std::shared_ptr<const StoreVersion>& cur,
-      std::shared_ptr<const PrototypeStore> new_store, std::vector<std::uint8_t> new_mask,
-      tensor::Tensor new_attrs, std::vector<std::uint32_t> ivf_assignments) const;
+      const std::shared_ptr<const StoreVersion>& cur, VersionParts next) const;
 
   std::shared_ptr<const ModelSnapshot> snapshot_;
   ScoringMode mode_;

@@ -282,6 +282,17 @@ hdc::BinaryHV PrototypeStore::encode_query(const float* row) const {
   return b;
 }
 
+std::vector<std::uint64_t> PrototypeStore::encode_queries(
+    const tensor::Tensor& embeddings) const {
+  const std::size_t batch = embeddings.size(0);
+  std::vector<std::uint64_t> words(batch * words_per_row_);
+  for (std::size_t b = 0; b < batch; ++b) {
+    const hdc::BinaryHV q = encode_query(embeddings.data() + b * dim_);
+    std::copy(q.words().begin(), q.words().end(), words.begin() + b * words_per_row_);
+  }
+  return words;
+}
+
 tensor::Tensor PrototypeStore::score_binary(const tensor::Tensor& embeddings,
                                             const SeenPenalty* penalty) const {
   if (embeddings.dim() != 2 || embeddings.size(1) != dim_)
@@ -290,7 +301,7 @@ tensor::Tensor PrototypeStore::score_binary(const tensor::Tensor& embeddings,
                                 tensor::shape_str(embeddings.shape()));
   const std::size_t batch = embeddings.size(0);
   tensor::Tensor logits({batch, n_classes_});
-  const float* E = embeddings.data();
+  const std::vector<std::uint64_t> queries = encode_queries(embeddings);
   float* L = logits.data();
   std::vector<std::uint32_t> h(n_classes_);
   const float inv_d = 1.0f / static_cast<float>(code_bits_);
@@ -300,9 +311,8 @@ tensor::Tensor PrototypeStore::score_binary(const tensor::Tensor& embeddings,
   const float* adj = penalized && !penalty->integer_exact ? penalty->row_penalty.data()
                                                           : nullptr;
   for (std::size_t b = 0; b < batch; ++b) {
-    hdc::BinaryHV q = encode_query(E + b * dim_);
-    hdc::hamming_many_packed(q.words().data(), packed_data(), n_classes_, words_per_row_,
-                             h.data());
+    hdc::hamming_many_packed(queries.data() + b * words_per_row_, packed_data(), n_classes_,
+                             words_per_row_, h.data());
     float* out = L + b * n_classes_;
     if (off) {
       // Integer-exact handicap: seen rows are scored as if their Hamming

@@ -177,6 +177,9 @@ class PrototypeStore {
 
   /// Encode one embedding row [d] into its D-bit binary code.
   hdc::BinaryHV encode_query(const float* row) const;
+  /// Encode embeddings [B, d] into one packed buffer of B rows of
+  /// words_per_row() words, row b being encode_query(row b)'s words.
+  std::vector<std::uint64_t> encode_queries(const tensor::Tensor& embeddings) const;
 
   /// The sign-LSH projection R [D, d] (an empty tensor at expansion 1). R is
   /// a pure function of lsh_seed(), built on the first call — by the

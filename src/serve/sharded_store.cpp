@@ -172,11 +172,7 @@ std::vector<std::vector<TopK>> ShardedPrototypeStore::topk_binary(
   // Encode every query once, up front, into one contiguous packed buffer
   // (the query-blocked kernel reads them side by side).
   const std::size_t wpr = base_->words_per_row();
-  std::vector<std::uint64_t> qwords(batch * wpr);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const hdc::BinaryHV q = base_->encode_query(embeddings.data() + b * base_->dim());
-    std::copy(q.words().begin(), q.words().end(), qwords.begin() + b * wpr);
-  }
+  const std::vector<std::uint64_t> qwords = base_->encode_queries(embeddings);
 
   const std::uint64_t* packed = base_->packed_data();
   const float scale = base_->scale();

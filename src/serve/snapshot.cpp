@@ -5,6 +5,7 @@
 
 #include "serve/ann_store.hpp"
 #include "serve/store_version.hpp"
+#include "tensor/ops.hpp"
 
 namespace hdczsc::serve {
 
@@ -119,17 +120,11 @@ std::shared_ptr<ModelSnapshot> make_gzsl_snapshot(std::shared_ptr<core::ZscModel
         "make_gzsl_snapshot: seen/unseen attribute matrices must both be [C, alpha] with "
         "matching alpha");
   const std::size_t n_seen = seen_attributes.size(0);
-  const std::size_t n_unseen = unseen_attributes.size(0);
-  const std::size_t alpha = seen_attributes.size(1);
-  tensor::Tensor joint({n_seen + n_unseen, alpha});
-  std::copy(seen_attributes.data(), seen_attributes.data() + seen_attributes.numel(),
-            joint.data());
-  std::copy(unseen_attributes.data(), unseen_attributes.data() + unseen_attributes.numel(),
-            joint.data() + seen_attributes.numel());
-  std::vector<std::uint8_t> mask(n_seen + n_unseen, 0);
+  std::vector<std::uint8_t> mask(n_seen + unseen_attributes.size(0), 0);
   std::fill(mask.begin(), mask.begin() + static_cast<std::ptrdiff_t>(n_seen), 1);
-  return std::make_shared<ModelSnapshot>(std::move(model), joint, binary_expansion,
-                                         preferred_shards, std::move(mask));
+  return std::make_shared<ModelSnapshot>(std::move(model),
+                                         tensor::concat_rows(seen_attributes, unseen_attributes),
+                                         binary_expansion, preferred_shards, std::move(mask));
 }
 
 }  // namespace hdczsc::serve

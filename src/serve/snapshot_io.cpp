@@ -20,6 +20,7 @@
 #include "nn/serialize.hpp"
 #include "serve/ann_store.hpp"
 #include "serve/store_version.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/serialize.hpp"
 
 namespace hdczsc::serve {
@@ -88,6 +89,26 @@ void read_end_marker(std::istream& is) {
     throw std::runtime_error("snapshot_io: truncated file (missing end marker)");
 }
 
+/// Raw-array record body: `count` values of T (a count the caller checked
+/// against the record's geometry), bounded by the bytes the stream still
+/// holds before anything is allocated; a short read names the record.
+template <typename T>
+std::vector<T> read_array(std::istream& is, std::uint64_t count, const char* what) {
+  tensor::io::check_readable(is, count, sizeof(T), what);
+  std::vector<T> values(count);
+  is.read(reinterpret_cast<char*>(values.data()),
+          static_cast<std::streamsize>(count * sizeof(T)));
+  if (!is) throw std::runtime_error(std::string("snapshot_io: truncated reading ") + what);
+  return values;
+}
+
+/// The writer's side of read_array: the values' raw bytes.
+template <typename T>
+void write_array(std::ostream& os, const std::vector<T>& values) {
+  os.write(reinterpret_cast<const char*>(values.data()),
+           static_cast<std::streamsize>(values.size() * sizeof(T)));
+}
+
 /// `expected_words` is what the already-parsed store geometry implies
 /// (C rows × ⌈k·d/64⌉ words/row). A corrupted count is rejected by name
 /// *before* any blind allocation or read — a short (or long) word array
@@ -98,12 +119,7 @@ std::vector<std::uint64_t> read_packed_words(std::istream& is, std::size_t expec
     throw std::runtime_error("snapshot_io: corrupt record 'packed word count': " +
                              std::to_string(n_words) + " words, but the prototype rows imply " +
                              std::to_string(expected_words));
-  tensor::io::check_readable(is, n_words, sizeof(std::uint64_t), "packed binary rows");
-  std::vector<std::uint64_t> words(expected_words);
-  is.read(reinterpret_cast<char*>(words.data()),
-          static_cast<std::streamsize>(words.size() * sizeof(std::uint64_t)));
-  if (!is) throw std::runtime_error("snapshot_io: truncated reading packed binary rows");
-  return words;
+  return read_array<std::uint64_t>(is, n_words, "packed binary rows");
 }
 
 /// GZSL label-space partition record (version ≥ 3): u64 seen count, then
@@ -117,12 +133,8 @@ std::vector<std::uint8_t> read_partition(std::istream& is, std::size_t n_classes
     throw std::runtime_error("snapshot_io: corrupt record 'seen-class count': " +
                              std::to_string(n_seen) + " seen of " +
                              std::to_string(n_classes) + " classes");
-  const std::size_t n_words = (n_classes + 63) / 64;
-  tensor::io::check_readable(is, n_words, sizeof(std::uint64_t), "seen mask");
-  std::vector<std::uint64_t> words(n_words);
-  is.read(reinterpret_cast<char*>(words.data()),
-          static_cast<std::streamsize>(n_words * sizeof(std::uint64_t)));
-  if (!is) throw std::runtime_error("snapshot_io: truncated reading seen mask");
+  const std::vector<std::uint64_t> words =
+      read_array<std::uint64_t>(is, (n_classes + 63) / 64, "seen mask");
   const std::size_t tail = n_classes % 64;
   if (tail != 0 && (words.back() >> tail) != 0)
     throw std::runtime_error(
@@ -146,8 +158,7 @@ void write_partition(std::ostream& os, const ModelSnapshot& snap) {
   for (std::size_t i = 0; i < c; ++i)
     if (snap.is_seen(i)) words[i / 64] |= std::uint64_t{1} << (i % 64);
   write_pod<std::uint64_t>(os, snap.n_seen());
-  os.write(reinterpret_cast<const char*>(words.data()),
-           static_cast<std::streamsize>(words.size() * sizeof(std::uint64_t)));
+  write_array(os, words);
 }
 
 }  // namespace
@@ -181,8 +192,7 @@ void save_snapshot(std::ostream& os, const ModelSnapshot& snap) {
   tensor::save_tensor(os, store.normalized_copy());
   const std::vector<std::uint64_t> packed = store.packed_copy();
   write_pod<std::uint64_t>(os, packed.size());
-  os.write(reinterpret_cast<const char*>(packed.data()),
-           static_cast<std::streamsize>(packed.size() * sizeof(std::uint64_t)));
+  write_array(os, packed);
   write_pod<std::uint64_t>(os, snap.preferred_shards());  // v2 shard-layout record
   write_partition(os, snap);                              // v3 GZSL partition record
   // v4 INT8 quantization record pair: calibration table + quantized weights.
@@ -198,8 +208,7 @@ void save_snapshot(std::ostream& os, const ModelSnapshot& snap) {
     const IvfIndex& ivf = *snap.ivf();
     tensor::save_tensor(os, ivf.centroids());
     write_pod<std::uint64_t>(os, ivf.assignments().size());
-    os.write(reinterpret_cast<const char*>(ivf.assignments().data()),
-             static_cast<std::streamsize>(ivf.assignments().size() * sizeof(std::uint32_t)));
+    write_array(os, ivf.assignments());
   }
   // v6 evolution-lineage records: version counter, persisted auto-calibrated
   // penalty, content checksum (the delta-chain anchor — also a load-time
@@ -258,11 +267,7 @@ IvfRecords read_ivf_records(std::istream& is, std::size_t n_classes, std::size_t
     throw std::runtime_error("snapshot_io: corrupt record 'ivf assignment count': " +
                              std::to_string(count) + " assignments for " +
                              std::to_string(n_classes) + " prototype rows");
-  tensor::io::check_readable(is, count, sizeof(std::uint32_t), "ivf assignments");
-  r.assignments.resize(n_classes);
-  is.read(reinterpret_cast<char*>(r.assignments.data()),
-          static_cast<std::streamsize>(n_classes * sizeof(std::uint32_t)));
-  if (!is) throw std::runtime_error("snapshot_io: truncated reading ivf assignments");
+  r.assignments = read_array<std::uint32_t>(is, count, "ivf assignments");
   const std::size_t cc = r.centroids.size(0);
   for (std::uint32_t a : r.assignments)
     if (a >= cc)
@@ -273,11 +278,9 @@ IvfRecords read_ivf_records(std::istream& is, std::size_t n_classes, std::size_t
   return r;
 }
 
-}  // namespace
-
-std::shared_ptr<ModelSnapshot> load_snapshot(std::istream& is) {
-  const Header h = read_header(is);
-
+/// Everything after the header: the one record reader, and so the one
+/// place that knows which records each format version carries.
+std::shared_ptr<ModelSnapshot> read_body(std::istream& is, const Header& h) {
   // Rebuild the architecture; every random initialization below is
   // overwritten by the parameter/buffer/dictionary records.
   util::Rng rng(0xC0FFEEULL);
@@ -385,6 +388,13 @@ std::shared_ptr<ModelSnapshot> load_snapshot(std::istream& is) {
   return snap;
 }
 
+}  // namespace
+
+std::shared_ptr<ModelSnapshot> load_snapshot(std::istream& is) {
+  const Header h = read_header(is);
+  return read_body(is, h);
+}
+
 namespace {
 
 /// fsync(2) of the file or directory at `path`; false, with errno set, on
@@ -450,6 +460,7 @@ std::shared_ptr<ModelSnapshot> load_snapshot_file(const std::string& path) {
 
 SnapshotInfo inspect_snapshot(std::istream& is) {
   const Header h = read_header(is);
+  const std::shared_ptr<const ModelSnapshot> snap = read_body(is, h);
   SnapshotInfo info;
   info.version = h.version;
   info.arch = h.arch;
@@ -460,77 +471,40 @@ SnapshotInfo inspect_snapshot(std::istream& is) {
   info.n_attributes = h.n_attributes;
   info.scale = h.scale;
 
-  // Parameter and buffer records, walked structurally (no model rebuild).
-  for (const char* block : {"parameter", "buffer"}) {
-    const auto count = read_pod<std::uint64_t>(is, block);
-    if (count > (1u << 20))
-      throw std::runtime_error(std::string("snapshot_io: implausible ") + block + " count");
-    for (std::uint64_t i = 0; i < count; ++i) {
-      read_string(is, block);
-      const tensor::Tensor t = read_tensor(is, block);
-      if (block[0] == 'p') {
-        ++info.param_records;
-        info.param_elements += t.numel();
-      }
-    }
-  }
-  info.has_dictionary = read_pod<std::uint8_t>(is, "dictionary flag") != 0;
-  if (info.has_dictionary) read_tensor(is, "hdc dictionary");
+  core::ZscModel& model = *snap->model_ptr();
+  for (const nn::Parameter* p : model.parameters()) info.param_elements += p->value.numel();
+  info.param_records = model.parameters().size();
+  info.has_dictionary =
+      dynamic_cast<const core::HdcAttributeEncoder*>(&model.attribute_encoder()) != nullptr;
 
-  const tensor::Tensor a = read_tensor(is, "class-attribute matrix");
-  info.n_classes = a.size(0);
-  info.expansion = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "expansion"));
-  read_pod<std::uint64_t>(is, "lsh seed");
-  read_pod<float>(is, "store scale");
-  const tensor::Tensor normalized = read_tensor(is, "normalized prototype rows");
-  if (normalized.dim() != 2 || normalized.size(0) == 0)
-    throw std::runtime_error("snapshot_io: normalized prototype rows are " +
-                             tensor::shape_str(normalized.shape()) + ", expected [C, d]");
-  info.dim = normalized.size(1);
-  info.code_bits = info.dim * std::max<std::size_t>(info.expansion, 1);
-  info.float_bytes = normalized.numel() * sizeof(float);
-  const std::size_t words_per_row = (info.code_bits + 63) / 64;
-  info.binary_bytes =
-      read_packed_words(is, normalized.size(0) * words_per_row).size() *
-      sizeof(std::uint64_t);
-  if (h.version >= 2)
-    info.preferred_shards =
-        static_cast<std::size_t>(read_pod<std::uint64_t>(is, "preferred shard count"));
-  info.n_seen = info.n_classes;
-  if (h.version >= 3) {
-    const std::vector<std::uint8_t> mask = read_partition(is, normalized.size(0));
-    if (!mask.empty()) {
-      info.has_partition = true;
-      info.n_seen = 0;
-      for (std::uint8_t m : mask) info.n_seen += m != 0;
-    }
+  const PrototypeStore& store = snap->prototypes();
+  info.n_classes = store.n_classes();
+  info.dim = store.dim();
+  info.expansion = store.expansion();
+  info.code_bits = store.code_bits();
+  info.float_bytes = store.float_bytes();
+  info.binary_bytes = store.binary_bytes();
+  info.preferred_shards = snap->preferred_shards();
+  info.has_partition = snap->has_partition();
+  info.n_seen = snap->n_seen();
+  if (snap->has_quantized()) {
+    const nn::QuantizedEmbed::QuantInfo qi = snap->quantized()->info();
+    info.has_quant = true;
+    info.quant_method = nn::calib_method_name(qi.method);
+    info.quant_conv = qi.n_conv;
+    info.quant_linear = qi.n_linear;
+    info.quant_weight_bytes = qi.weight_bytes;
   }
-  if (h.version >= 4) {
-    const auto quant = read_quant_records(is);
-    if (quant) {
-      const nn::QuantizedEmbed::QuantInfo qi = quant->info();
-      info.has_quant = true;
-      info.quant_method = nn::calib_method_name(qi.method);
-      info.quant_conv = qi.n_conv;
-      info.quant_linear = qi.n_linear;
-      info.quant_weight_bytes = qi.weight_bytes;
-    }
+  if (snap->has_ivf()) {
+    const IvfIndex& ivf = *snap->ivf();
+    info.has_ivf = true;
+    info.n_centroids = ivf.n_centroids();
+    for (std::size_t c = 0; c < info.n_centroids; ++c)
+      info.ivf_list_sizes.push_back(ivf.list_size(c));
   }
-  if (h.version >= 5) {
-    const IvfRecords ivf = read_ivf_records(is, normalized.size(0), normalized.size(1));
-    if (ivf.present) {
-      info.has_ivf = true;
-      info.n_centroids = ivf.centroids.size(0);
-      info.ivf_list_sizes.assign(info.n_centroids, 0);
-      for (std::uint32_t a : ivf.assignments) ++info.ivf_list_sizes[a];
-    }
-  }
-  if (h.version >= 6) {
-    info.store_version = read_pod<std::uint64_t>(is, "store version");
-    info.calibrated_penalty = read_pod<float>(is, "calibrated penalty");
-    info.content_checksum = read_pod<std::uint64_t>(is, "content checksum");
-  }
-  read_end_marker(is);
+  info.store_version = snap->store_version();
+  info.calibrated_penalty = snap->calibrated_penalty();
+  info.content_checksum = snap->content_checksum();
   return info;
 }
 
@@ -597,17 +571,13 @@ void save_delta(std::ostream& os, const SnapshotDelta& delta) {
   tensor::save_tensor(os, delta.attributes);
   tensor::save_tensor(os, delta.normalized_rows);
   write_pod<std::uint64_t>(os, delta.packed_words.size());
-  os.write(reinterpret_cast<const char*>(delta.packed_words.data()),
-           static_cast<std::streamsize>(delta.packed_words.size() * sizeof(std::uint64_t)));
+  write_array(os, delta.packed_words);
   write_pod<std::uint64_t>(os, delta.seen_flags.size());
-  if (!delta.seen_flags.empty())
-    os.write(reinterpret_cast<const char*>(delta.seen_flags.data()),
-             static_cast<std::streamsize>(delta.seen_flags.size()));
+  write_array(os, delta.seen_flags);
   write_pod<std::uint8_t>(os, delta.has_ivf ? 1 : 0);
   if (delta.has_ivf) {
     write_pod<std::uint64_t>(os, delta.ivf_assignments.size());
-    os.write(reinterpret_cast<const char*>(delta.ivf_assignments.data()),
-             static_cast<std::streamsize>(delta.ivf_assignments.size() * sizeof(std::uint32_t)));
+    write_array(os, delta.ivf_assignments);
   }
   write_pod<std::uint64_t>(os, delta.new_checksum);
   os.write(kEndMarker, 4);
@@ -651,23 +621,13 @@ SnapshotDelta load_delta(std::istream& is) {
     throw std::runtime_error("snapshot_io: corrupt record 'delta packed word count': " +
                              std::to_string(n_words) + " words for " + std::to_string(n) +
                              " rows");
-  tensor::io::check_readable(is, n_words, sizeof(std::uint64_t), "delta packed rows");
-  delta.packed_words.resize(n_words);
-  is.read(reinterpret_cast<char*>(delta.packed_words.data()),
-          static_cast<std::streamsize>(n_words * sizeof(std::uint64_t)));
-  if (!is) throw std::runtime_error("snapshot_io: truncated reading delta packed rows");
+  delta.packed_words = read_array<std::uint64_t>(is, n_words, "delta packed rows");
   const auto n_flags = read_pod<std::uint64_t>(is, "delta seen-flag count");
   if (n_flags != 0 && n_flags != n)
     throw std::runtime_error("snapshot_io: corrupt record 'delta seen-flag count': " +
                              std::to_string(n_flags) + " flags for " + std::to_string(n) +
                              " rows");
-  if (n_flags != 0) {
-    tensor::io::check_readable(is, n_flags, 1, "delta seen flags");
-    delta.seen_flags.resize(n_flags);
-    is.read(reinterpret_cast<char*>(delta.seen_flags.data()),
-            static_cast<std::streamsize>(n_flags));
-    if (!is) throw std::runtime_error("snapshot_io: truncated reading delta seen flags");
-  }
+  delta.seen_flags = read_array<std::uint8_t>(is, n_flags, "delta seen flags");
   delta.has_ivf = read_pod<std::uint8_t>(is, "delta ivf flag") != 0;
   if (delta.has_ivf) {
     const auto count = read_pod<std::uint64_t>(is, "delta ivf assignment count");
@@ -675,11 +635,7 @@ SnapshotDelta load_delta(std::istream& is) {
       throw std::runtime_error("snapshot_io: corrupt record 'delta ivf assignment count': " +
                                std::to_string(count) + " assignments for " +
                                std::to_string(n) + " rows");
-    tensor::io::check_readable(is, count, sizeof(std::uint32_t), "delta ivf assignments");
-    delta.ivf_assignments.resize(n);
-    is.read(reinterpret_cast<char*>(delta.ivf_assignments.data()),
-            static_cast<std::streamsize>(n * sizeof(std::uint32_t)));
-    if (!is) throw std::runtime_error("snapshot_io: truncated reading delta ivf assignments");
+    delta.ivf_assignments = read_array<std::uint32_t>(is, count, "delta ivf assignments");
   }
   delta.new_checksum = read_pod<std::uint64_t>(is, "delta new checksum");
   read_end_marker(is);
@@ -700,76 +656,92 @@ bool is_delta_file(const std::string& path) {
   return f && std::string(magic, 4) == std::string(kDeltaMagic, 4);
 }
 
+VersionParts apply_delta(const LineageHead& head, const SnapshotDelta& delta,
+                         const std::string& context) {
+  const auto reject = [&](const std::string& why) {
+    return std::invalid_argument(context + ": " + why);
+  };
+  const std::size_t rows = head.store.n_classes(), n = delta.n_new();
+  const auto n_rows = [n](std::size_t got) {
+    return std::to_string(got) + " for " + std::to_string(n) + " rows";
+  };
+  if (delta.base_rows != rows || delta.base_version != head.version)
+    throw reject("delta base (version " + std::to_string(delta.base_version) + ", " +
+                 std::to_string(delta.base_rows) + " classes) is not the head (version " +
+                 std::to_string(head.version) + ", " + std::to_string(rows) + " classes)");
+  if (delta.base_checksum != head.content_checksum)
+    throw reject("delta base content checksum differs from the head's");
+  if (n == 0 || delta.normalized_rows.size(1) != head.store.dim() ||
+      delta.packed_words.size() != n * head.store.words_per_row())
+    throw reject("delta prototype rows " + tensor::shape_str(delta.normalized_rows.shape()) +
+                 " with " + std::to_string(delta.packed_words.size()) +
+                 " packed words do not fit the store");
+  if (delta.attributes.dim() != 2 || delta.attributes.size(0) != n ||
+      delta.attributes.size(1) != head.class_attributes.size(1))
+    throw reject("delta class-attribute rows are " +
+                 tensor::shape_str(delta.attributes.shape()) + ", expected [" +
+                 std::to_string(n) + ", " + std::to_string(head.class_attributes.size(1)) + "]");
+  if (!delta.seen_flags.empty() && delta.seen_flags.size() != n)
+    throw reject("delta seen-flag count: " + n_rows(delta.seen_flags.size()));
+  if (delta.has_ivf && delta.ivf_assignments.size() != n)
+    throw reject("delta ivf assignment count: " + n_rows(delta.ivf_assignments.size()));
+  if (head.ivf_centroids && delta.has_ivf)
+    for (std::uint32_t a : delta.ivf_assignments)
+      if (a >= head.ivf_centroids->size(0))
+        throw reject("delta ivf assignments: centroid " + std::to_string(a) + " out of range");
+
+  // Adopt the serialized rows verbatim — bitwise what the writer appended —
+  // and hash only the new rows: the chained checksum is the delta's
+  // end-state check and the next version's checksum at once.
+  PrototypeStore store = head.store.append_parts(delta.normalized_rows, delta.packed_words);
+  std::vector<std::uint8_t> mask = extend_seen_mask(head.seen_mask, rows, delta.seen_flags, n);
+  const std::uint64_t checksum =
+      extend_content_checksum(head.content_checksum, store, mask, rows);
+  if (checksum != delta.new_checksum)
+    throw std::runtime_error(context + ": content checksum mismatch after append");
+
+  std::vector<std::uint32_t> assignments;
+  if (head.ivf_centroids) {
+    assignments.reserve(rows + n);
+    assignments.assign(head.ivf_assignments->begin(), head.ivf_assignments->end());
+    if (delta.has_ivf)
+      assignments.insert(assignments.end(), delta.ivf_assignments.begin(),
+                         delta.ivf_assignments.end());
+    else
+      assignments = extend_ivf_assignments(*head.ivf_centroids, std::move(assignments), store,
+                                           rows);
+  }
+  return VersionParts{std::move(store), std::move(mask),
+                      tensor::concat_rows(head.class_attributes, delta.attributes),
+                      std::move(assignments), checksum, head.version + 1};
+}
+
 std::shared_ptr<ModelSnapshot> compact_snapshot(const ModelSnapshot& base,
                                                 const std::vector<SnapshotDelta>& deltas) {
-  // Chain state: store values share slabs with the base (copy-on-write),
-  // so the whole compaction is one pass of appends + checksum extensions.
-  PrototypeStore store = base.prototypes();
-  std::vector<std::uint8_t> mask = base.seen_mask();
-  tensor::Tensor attrs = base.class_attributes();
-  std::uint64_t version = base.store_version();
-  std::uint64_t checksum = base.content_checksum();
-  std::vector<std::uint32_t> assignments;
-  if (base.has_ivf()) assignments = base.ivf()->assignments();
+  // The chain's store shares slabs with the base (copy-on-write); the IVF
+  // lists are built once, from the end state's assignments.
+  const IvfIndex* ivf = base.ivf().get();
+  VersionParts chain{base.prototypes(), base.seen_mask(), base.class_attributes(),
+                     ivf ? ivf->assignments() : std::vector<std::uint32_t>{},
+                     base.content_checksum(), base.store_version()};
+  for (std::size_t i = 0; i < deltas.size(); ++i)
+    chain = apply_delta(LineageHead{.store = chain.store,
+                                    .seen_mask = chain.seen_mask,
+                                    .class_attributes = chain.class_attributes,
+                                    .ivf_centroids = ivf ? &ivf->centroids() : nullptr,
+                                    .ivf_assignments = ivf ? &chain.ivf_assignments : nullptr,
+                                    .content_checksum = chain.content_checksum,
+                                    .version = chain.version},
+                        deltas[i], "compact_snapshot: delta " + std::to_string(i));
 
-  for (std::size_t li = 0; li < deltas.size(); ++li) {
-    const SnapshotDelta& delta = deltas[li];
-    const std::string link = "delta " + std::to_string(li);
-    if (delta.base_rows != store.n_classes() || delta.base_version != version)
-      throw std::runtime_error("compact_snapshot: " + link + " expects base version " +
-                               std::to_string(delta.base_version) + " with " +
-                               std::to_string(delta.base_rows) + " classes, but the chain is "
-                               "at version " + std::to_string(version) + " with " +
-                               std::to_string(store.n_classes()) + " classes");
-    if (delta.base_checksum != checksum)
-      throw std::runtime_error("compact_snapshot: " + link +
-                               " base content checksum mismatch");
-    if (delta.attributes.size(1) != attrs.size(1))
-      throw std::runtime_error("compact_snapshot: " + link +
-                               " attribute width disagrees with the base");
-    const std::size_t n = delta.n_new();
-    const std::size_t prev_rows = store.n_classes();
-    PrototypeStore grown = store.append_parts(delta.normalized_rows, delta.packed_words);
-    std::vector<std::uint8_t> new_mask =
-        extend_seen_mask(mask, prev_rows, delta.seen_flags, n);
-    const std::uint64_t chained =
-        extend_content_checksum(checksum, grown, new_mask, prev_rows);
-    if (chained != delta.new_checksum)
-      throw std::runtime_error("compact_snapshot: " + link +
-                               " content checksum mismatch after append (corrupt payload)");
-    if (base.has_ivf()) {
-      if (delta.has_ivf) {
-        const std::size_t cc = base.ivf()->n_centroids();
-        for (std::uint32_t a : delta.ivf_assignments)
-          if (a >= cc)
-            throw std::runtime_error("compact_snapshot: " + link +
-                                     " ivf assignment out of centroid range");
-        assignments.insert(assignments.end(), delta.ivf_assignments.begin(),
-                           delta.ivf_assignments.end());
-      } else {
-        assignments = extend_ivf_assignments(base.ivf()->centroids(), std::move(assignments),
-                                             grown, prev_rows);
-      }
-    }
-    tensor::Tensor new_attrs({attrs.size(0) + n, attrs.size(1)});
-    std::copy(attrs.data(), attrs.data() + attrs.numel(), new_attrs.data());
-    std::copy(delta.attributes.data(), delta.attributes.data() + delta.attributes.numel(),
-              new_attrs.data() + attrs.numel());
-    attrs = std::move(new_attrs);
-    mask = std::move(new_mask);
-    store = std::move(grown);
-    checksum = chained;
-    ++version;
-  }
-
-  auto snap = std::make_shared<ModelSnapshot>(base.model_ptr(), std::move(attrs),
-                                              std::move(store), base.preferred_shards(),
-                                              std::move(mask), checksum);
+  auto snap = std::make_shared<ModelSnapshot>(
+      base.model_ptr(), std::move(chain.class_attributes), std::move(chain.store),
+      base.preferred_shards(), std::move(chain.seen_mask), chain.content_checksum);
   if (base.has_quantized()) snap->attach_quantized(base.quantized());
-  if (base.has_ivf())
+  if (ivf)
     snap->attach_ivf(std::make_shared<const IvfIndex>(IvfIndex::from_parts(
-        snap->prototypes(), base.ivf()->centroids(), std::move(assignments))));
-  snap->set_store_version(version);
+        snap->prototypes(), ivf->centroids(), std::move(chain.ivf_assignments))));
+  snap->set_store_version(chain.version);
   snap->set_calibrated_penalty(base.calibrated_penalty());
   return snap;
 }

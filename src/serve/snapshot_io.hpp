@@ -104,8 +104,11 @@ void save_snapshot_file(const std::string& path, const ModelSnapshot& snap);
 std::shared_ptr<ModelSnapshot> load_snapshot(std::istream& is);
 std::shared_ptr<ModelSnapshot> load_snapshot_file(const std::string& path);
 
-/// Header + size summary of a snapshot stream, parsed without rebuilding
-/// the model (for `snapshot_tool --inspect`).
+/// Header + size summary of a snapshot stream (for `snapshot_tool
+/// --inspect`). inspect_snapshot reads the file through the same reader as
+/// load_snapshot and summarizes the loaded snapshot, so a file it describes
+/// is exactly a file that loads, and a file the loader rejects fails here
+/// with the loader's named error.
 struct SnapshotInfo {
   std::uint32_t version = 0;
   std::string arch;
@@ -146,7 +149,10 @@ struct SnapshotInfo {
   /// Per-centroid inverted-list sizes (sums to n_classes; empty when
   /// has_ivf is false) — the `--inspect` list-size histogram input.
   std::vector<std::size_t> ivf_list_sizes;
-  /// Evolution lineage (version ≥ 6; pre-v6 files report 0 / 0 / 0).
+  /// Evolution lineage (version ≥ 6; pre-v6 files report version 0 and
+  /// penalty 0). content_checksum is the loaded snapshot's: the verified
+  /// stored value for v6 files, the one the loader computed for pre-v6
+  /// files (which store none).
   std::uint64_t store_version = 0;
   float calibrated_penalty = 0.0f;
   std::uint64_t content_checksum = 0;
@@ -155,13 +161,15 @@ struct SnapshotInfo {
 SnapshotInfo inspect_snapshot(std::istream& is);
 SnapshotInfo inspect_snapshot_file(const std::string& path);
 
-class InferenceEngine;  // serve/engine.hpp
-struct StoreVersion;    // serve/store_version.hpp
+struct LineageHead;   // serve/store_version.hpp
+struct StoreVersion;  // serve/store_version.hpp
+struct VersionParts;  // serve/store_version.hpp
 
 /// One persisted append: everything needed to grow a base artifact by n
-/// classes, bit-identically to the version the writer published. Applied
-/// through InferenceEngine::append_delta (live) or compact_snapshot
-/// (offline); produced by make_delta from two versions of one lineage.
+/// classes, bit-identically to the version the writer published. Produced
+/// by make_delta from two versions of one lineage; applied only through
+/// apply_delta, which InferenceEngine::append_delta (live) and
+/// compact_snapshot (offline) both call.
 struct SnapshotDelta {
   /// Base-identity triple — all three must match the state the delta is
   /// applied to (class count, version counter, content checksum).
@@ -198,13 +206,23 @@ SnapshotDelta load_delta_file(const std::string& path);
 /// snapshot_tool route a path to the right loader.
 bool is_delta_file(const std::string& path);
 
-/// Offline delta-chain compaction: apply `deltas` in order to `base` and
-/// return a full snapshot whose store planes, seen mask, class attributes
-/// and IVF assignments are *bitwise* the chain's end state, with the
-/// store-version counter advanced by the chain length (what a v6 writer
-/// persists). Each link's base triple and end checksum are validated;
-/// any mismatch throws with nothing half-applied. `base` itself is not
-/// modified.
+/// The one delta step behind InferenceEngine::append_delta and
+/// compact_snapshot. Validates the whole delta against `head` first (base
+/// triple, row widths and counts, seen flags, IVF assignment count and
+/// range), then appends the rows verbatim and returns the next version's
+/// parts, its chained checksum checked against the delta's end checksum.
+/// Throws std::invalid_argument on a base mismatch or a malformed count,
+/// width or range, std::runtime_error naming the content checksum when the
+/// chained checksum misses; messages start with `context`.
+VersionParts apply_delta(const LineageHead& head, const SnapshotDelta& delta,
+                         const std::string& context);
+
+/// Offline delta-chain compaction: fold apply_delta over `deltas` from
+/// `base` and return a full snapshot whose store planes, seen mask, class
+/// attributes and IVF assignments are *bitwise* the state a live engine
+/// reaches by applying the same deltas, with the store-version counter
+/// advanced by the chain length. A failing link throws apply_delta's error
+/// ("compact_snapshot: delta <i>: ..."); `base` is not modified.
 std::shared_ptr<ModelSnapshot> compact_snapshot(const ModelSnapshot& base,
                                                 const std::vector<SnapshotDelta>& deltas);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace hdczsc::serve {
 
@@ -47,12 +49,15 @@ std::vector<std::uint8_t> extend_seen_mask(const std::vector<std::uint8_t>& base
                                            std::size_t base_rows,
                                            const std::vector<std::uint8_t>& flags,
                                            std::size_t n_new) {
+  if (!flags.empty() && flags.size() != n_new)
+    throw std::invalid_argument("extend_seen_mask: " + std::to_string(flags.size()) +
+                                " seen flags for " + std::to_string(n_new) + " new rows");
   std::vector<std::uint8_t> mask;
+  mask.reserve(base_rows + n_new);
   if (base_mask.empty())
     mask.assign(base_rows, 1);
   else
-    mask = base_mask;
-  mask.reserve(base_rows + n_new);
+    mask.assign(base_mask.begin(), base_mask.end());
   for (std::size_t i = 0; i < n_new; ++i)
     mask.push_back(!flags.empty() && flags[i] != 0 ? 1 : 0);
   if (std::all_of(mask.begin(), mask.end(), [](std::uint8_t m) { return m != 0; }))

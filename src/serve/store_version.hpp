@@ -70,6 +70,31 @@ struct StoreVersion {
   const SeenPenalty* penalty_ptr() const { return penalty.active() ? &penalty : nullptr; }
 };
 
+/// The lineage version a delta applies to (serve::apply_delta), borrowed:
+/// a live StoreVersion's parts or compaction's chain state. The IVF
+/// pointers are null when the lineage has no index.
+struct LineageHead {
+  const PrototypeStore& store;
+  const std::vector<std::uint8_t>& seen_mask;
+  const tensor::Tensor& class_attributes;
+  const tensor::Tensor* ivf_centroids = nullptr;
+  const std::vector<std::uint32_t>* ivf_assignments = nullptr;
+  std::uint64_t content_checksum = 0;
+  std::uint64_t version = 0;
+};
+
+/// A version's own parts, before the sharded view, IVF lists and penalty
+/// are derived from them: what both append paths publish and compaction
+/// folds. ivf_assignments is empty when the lineage has no index.
+struct VersionParts {
+  PrototypeStore store;
+  std::vector<std::uint8_t> seen_mask;
+  tensor::Tensor class_attributes;
+  std::vector<std::uint32_t> ivf_assignments;
+  std::uint64_t content_checksum = 0;
+  std::uint64_t version = 0;
+};
+
 /// FNV-1a 64 over the store's per-row content stream: for each visible row
 /// c — the d·4 bytes of the normalized float row, the words_per_row·8
 /// bytes of the packed binary row, then one seen byte (1 when the mask is
@@ -98,9 +123,10 @@ struct GzslCalibration {
 /// ("no partition, everything seen") is materialized to all-1s the moment a
 /// non-seen row arrives; conversely a resulting all-seen mask collapses
 /// back to empty. `flags` (one byte per new row, non-zero = seen) may be
-/// empty — the zero-shot default, every appended class unseen. Checksum
-/// semantics are unaffected by the materialization: empty and all-1s masks
-/// hash identically.
+/// empty — the zero-shot default, every appended class unseen — or else
+/// must hold exactly `n_new` bytes (std::invalid_argument otherwise).
+/// Checksum semantics are unaffected by the materialization: empty and
+/// all-1s masks hash identically.
 std::vector<std::uint8_t> extend_seen_mask(const std::vector<std::uint8_t>& base_mask,
                                            std::size_t base_rows,
                                            const std::vector<std::uint8_t>& flags,

@@ -132,6 +132,19 @@ Tensor transpose(const Tensor& a) {
   return t;
 }
 
+Tensor concat_rows(const Tensor& a, const Tensor& b) {
+  if (a.dim() == 0 || a.dim() != b.dim() ||
+      !std::equal(a.shape().begin() + 1, a.shape().end(), b.shape().begin() + 1))
+    throw std::invalid_argument("concat_rows: trailing dims differ: " + shape_str(a.shape()) +
+                                " vs " + shape_str(b.shape()));
+  Shape shape = a.shape();
+  shape[0] += b.size(0);
+  Tensor out(std::move(shape));
+  std::copy(a.data(), a.data() + a.numel(), out.data());
+  std::copy(b.data(), b.data() + b.numel(), out.data() + a.numel());
+  return out;
+}
+
 Tensor sum_rows(const Tensor& a) {
   check_matrix(a, "sum_rows");
   const std::size_t m = a.size(0), n = a.size(1);

@@ -33,6 +33,11 @@ Tensor matvec(const Tensor& a, const Tensor& x);
 /// Transpose a 2-D tensor.
 Tensor transpose(const Tensor& a);
 
+/// Stack b's rows under a's: the leading-dim concatenation [n_a + n_b, ...]
+/// of two tensors whose trailing dims agree (throws std::invalid_argument
+/// otherwise). Both inputs are copied verbatim, a's first.
+Tensor concat_rows(const Tensor& a, const Tensor& b);
+
 // -- reductions / row ops -----------------------------------------------------
 /// Sum over rows -> [cols] (axis 0) of a 2-D tensor.
 Tensor sum_rows(const Tensor& a);

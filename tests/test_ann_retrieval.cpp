@@ -568,8 +568,8 @@ TEST(AnnSnapshotIo, PreV5FilesLoadExactOnlyAndRebuildMatchesPersisted) {
 
 TEST(AnnSnapshotIo, TruncationInsideIvfRecordsAlwaysThrows) {
   // Bracket the IVF region by saving with and without the index; a cut
-  // anywhere inside it must throw — for load_snapshot AND the no-rebuild
-  // inspect walk — never read short.
+  // anywhere inside it must throw — for load_snapshot AND inspect_snapshot
+  // — never read short.
   auto bare = make_snapshot(40);
   std::stringstream without;
   serve::save_snapshot(without, *bare);

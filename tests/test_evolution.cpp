@@ -12,7 +12,9 @@
 //    bitwise, whether the chain is applied live (append_delta) or
 //    offline (compact_snapshot);
 //  * a corrupt delta is rejected with the previously served version
-//    intact and answering — even under a concurrent reader;
+//    intact and answering — even under a concurrent reader — and a
+//    malformed one fails live apply and compaction alike (same exception
+//    type, same record named), since both take the one apply_delta step;
 //  * an append-while-serving storm drops zero requests, and the
 //    post-storm top-k is bit-identical to a cold rebuild from the
 //    compacted snapshot;
@@ -25,7 +27,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -324,6 +330,103 @@ TEST(Evolution, MismatchedDeltaRejectedWithNothingPublished) {
   }
   EXPECT_EQ(replica.pin()->version, 0u);
   EXPECT_EQ(replica.pin()->content_checksum, v0->content_checksum);
+}
+
+TEST(Evolution, CompactionRejectsWhatLiveApplyRejects) {
+  // Live apply and compaction take the same delta step, so every malformed
+  // delta must fail both the same way: the same exception type naming the
+  // same record, nothing published, nothing returned. The base carries an
+  // IVF index and the engines serve cascade retrieval, so the two IVF
+  // cases reach both paths.
+  auto gzsl = make_gzsl(9, 4);
+  gzsl->build_ivf();
+  const std::shared_ptr<const ModelSnapshot> base = gzsl;
+  const std::size_t cc = base->ivf()->n_centroids();
+  const auto cascade_engine = [&] {
+    return std::make_unique<const InferenceEngine>(
+        base, ScoringMode::kFloatCosine, 0, 0.0f, serve::Precision::kFloat32,
+        serve::RetrievalMode::kCascade);
+  };
+  const auto writer = cascade_engine();
+  const auto v0 = writer->pin();
+  const SnapshotDelta good = serve::make_delta(
+      *v0, *writer->append_classes(rand_attrs(6, 0xB1ULL), {1, 0, 0, 1, 0, 0}));
+  ASSERT_TRUE(good.has_ivf);
+  ASSERT_EQ(good.ivf_assignments.size(), 6u);
+  ASSERT_EQ(serve::compact_snapshot(*base, {good})->content_checksum(), good.new_checksum);
+
+  struct Case {
+    std::string name;
+    std::function<void(SnapshotDelta&)> corrupt;
+    bool invalid_argument;  // else std::runtime_error
+    std::string record;
+  };
+  const std::vector<Case> cases = {
+      {"base rows/version",
+       [](SnapshotDelta& d) {
+         ++d.base_rows;
+         ++d.base_version;
+       },
+       true, "delta base ("},
+      {"base checksum", [](SnapshotDelta& d) { d.base_checksum ^= 1; }, true,
+       "base content checksum"},
+      {"flipped payload float",
+       [](SnapshotDelta& d) {
+         d.normalized_rows = d.normalized_rows.clone();  // copies share storage
+         d.normalized_rows.data()[3] += 1.0f;
+       },
+       false, "content checksum mismatch after append"},
+      {"short seen flags", [](SnapshotDelta& d) { d.seen_flags.resize(1); }, true,
+       "delta seen-flag count"},
+      {"long seen flags", [](SnapshotDelta& d) { d.seen_flags.push_back(1); }, true,
+       "delta seen-flag count"},
+      {"attribute rows", [](SnapshotDelta& d) { d.attributes = rand_attrs(2, 0xB2ULL); }, true,
+       "delta class-attribute rows"},
+      {"attribute width",
+       [](SnapshotDelta& d) {
+         util::Rng rng(0xB3ULL);
+         d.attributes = Tensor::randn({6, kAlpha + 1}, rng);
+       },
+       true, "delta class-attribute rows"},
+      {"ivf assignment count", [](SnapshotDelta& d) { d.ivf_assignments.pop_back(); }, true,
+       "delta ivf assignment count"},
+      {"ivf assignment range",
+       [cc](SnapshotDelta& d) { d.ivf_assignments[2] = static_cast<std::uint32_t>(cc); }, true,
+       "delta ivf assignments"},
+  };
+
+  // Runs `apply`, which must throw the case's type; returns its message.
+  const auto rejection = [](const Case& c, const std::function<void()>& apply) {
+    try {
+      apply();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(c.invalid_argument) << c.name << ": " << e.what();
+      return std::string(e.what());
+    } catch (const std::runtime_error& e) {
+      EXPECT_FALSE(c.invalid_argument) << c.name << ": " << e.what();
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << c.name << ": the malformed delta was applied";
+    return std::string();
+  };
+
+  for (const Case& c : cases) {
+    SnapshotDelta bad = good;
+    c.corrupt(bad);
+
+    const auto replica = cascade_engine();
+    const std::string live = rejection(c, [&] { replica->append_delta(bad); });
+    EXPECT_NE(live.find(c.record), std::string::npos) << c.name << ": " << live;
+    EXPECT_EQ(replica->pin()->version, 0u) << c.name;
+    EXPECT_EQ(replica->pin()->content_checksum, v0->content_checksum) << c.name;
+
+    std::shared_ptr<ModelSnapshot> compacted;
+    const std::string offline =
+        rejection(c, [&] { compacted = serve::compact_snapshot(*base, {bad}); });
+    EXPECT_NE(offline.find(c.record), std::string::npos) << c.name << ": " << offline;
+    EXPECT_NE(offline.find("delta 0"), std::string::npos) << c.name << ": " << offline;
+    EXPECT_EQ(compacted, nullptr) << c.name;
+  }
 }
 
 // -- registry: delta routing, strong guarantee under a concurrent reader ------

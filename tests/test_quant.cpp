@@ -251,6 +251,13 @@ TEST(ServingPrecision, NamesRoundTripAndRejectUnknown) {
   EXPECT_EQ(serve::precision_from_name("int8"), serve::Precision::kInt8);
   EXPECT_EQ(serve::precision_from_name("fp32"), serve::Precision::kFloat32);
   EXPECT_THROW(serve::precision_from_name("int4"), std::invalid_argument);
+  // The other serving-config spellings the CLIs parse reject typos alike.
+  for (nn::CalibMethod m : {nn::CalibMethod::kMinMax, nn::CalibMethod::kEntropy})
+    EXPECT_EQ(nn::calib_method_from_name(nn::calib_method_name(m)), m);
+  EXPECT_THROW(nn::calib_method_from_name("entrpy"), std::invalid_argument);
+  EXPECT_EQ(serve::scoring_mode_from_name("float"), serve::ScoringMode::kFloatCosine);
+  EXPECT_EQ(serve::scoring_mode_from_name("binary"), serve::ScoringMode::kBinaryHamming);
+  EXPECT_THROW(serve::scoring_mode_from_name("hamming"), std::invalid_argument);
 }
 
 TEST(ServingPrecision, Int8EngineRequiresAQuantizedSnapshotAtConstruction) {

@@ -289,8 +289,8 @@ TEST(SnapshotIO, TruncationAtEveryRecordBoundaryThrowsNeverReadsShort) {
       // Expected: every cut throws; which record it names depends on where
       // the cut landed.
     }
-    // inspect_snapshot walks the same records without rebuilding the model
-    // and must be exactly as strict.
+    // inspect_snapshot reads through the same record reader and must be
+    // exactly as strict.
     std::istringstream in2(bytes.substr(0, cut));
     EXPECT_THROW(serve::inspect_snapshot(in2), std::runtime_error) << "inspect at " << cut;
   }
@@ -352,7 +352,7 @@ TEST(SnapshotIO, QuantizedV4RoundTripServesInt8) {
             0.0f);
   EXPECT_EQ(tensor::max_abs_diff(original.embed(probe), loaded->embed(probe)), 0.0f);
 
-  // inspect_snapshot surfaces the quantization block without rebuilding.
+  // inspect_snapshot surfaces the quantization block of the loaded snapshot.
   std::ifstream f(path, std::ios::binary);
   const auto info = serve::inspect_snapshot(f);
   EXPECT_EQ(info.version, serve::kSnapshotVersion);
@@ -430,7 +430,7 @@ TEST(SnapshotIO, TruncationInsideQuantRecordsAlwaysThrows) {
   // self-contained int8 weights blob) after the has_quant flag. Saving the
   // same snapshot with and without the artifact brackets that region
   // exactly; a cut anywhere inside it must throw — for load_snapshot AND
-  // the no-rebuild inspect walk — never read short.
+  // inspect_snapshot — never read short.
   Tiny t = make_tiny(79, "hdc", /*n_classes=*/7);
   serve::ModelSnapshot snap(t.model, t.a, /*binary_expansion=*/1);
   std::stringstream bare;
@@ -662,7 +662,8 @@ TEST(SnapshotIO, CorruptPrototypePlanesFailTheContentChecksum) {
   // The v6 checksum is the only guard over the prototype planes' payload:
   // a flipped float bit or packed-word bit, or a seen/unseen swap that
   // keeps the mask's popcount, parses as a well-formed file. Each must be
-  // rejected naming the checksum, and the registry must register nothing.
+  // rejected naming the checksum — by the loader and by inspect, which
+  // reads through the loader — and the registry must register nothing.
   Tiny t = make_tiny(79, "hdc", /*n_classes=*/7);
   const serve::ModelSnapshot snap(t.model, t.a, /*binary_expansion=*/1, /*preferred_shards=*/1,
                                   {1, 1, 1, 1, 0, 0, 0});
@@ -703,6 +704,14 @@ TEST(SnapshotIO, CorruptPrototypePlanesFailTheContentChecksum) {
     try {
       serve::load_snapshot(in);
       ADD_FAILURE() << what << ": corrupt planes loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("content checksum"), std::string::npos)
+          << what << ": " << e.what();
+    }
+    std::istringstream in2(bad);
+    try {
+      serve::inspect_snapshot(in2);
+      ADD_FAILURE() << what << ": inspect described corrupt planes";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("content checksum"), std::string::npos)
           << what << ": " << e.what();
