@@ -12,13 +12,16 @@
 //                re-scores), recall measured against the exact float top-10.
 //  * defaults  — the serving defaults (nprobe = Cc/8, rerank = 4): the
 //                recall@10 and exact-float-vs-cascade speedup quoted in the
-//                acceptance gates.
+//                acceptance gates. The speedup is the median ratio over 7
+//                (exact float, cascade) pairs timed back to back, so both
+//                sides of each ratio see the same machine state.
 //
 // Gates (defaults keep local / sanitizer runs informational):
 //   --min-recall=R    floor on cascade recall@10 at the serving defaults
 //                     (CI passes 0.99).
-//   --min-speedup=X   floor on the exact-float / cascade latency ratio at
-//                     the serving defaults (CI passes 3.0 at 250k classes).
+//   --min-speedup=X   floor on the median per-pair exact-float / cascade
+//                     latency ratio at the serving defaults (CI passes 3.0
+//                     at 250k classes).
 //
 //   ./bench_ann_retrieval [--classes=1000000] [--dim=64] [--expansion=4]
 //                         [--queries=128] [--k=10] [--rerank=4] [--reps=3]
@@ -52,6 +55,12 @@ double best_seconds(Fn&& fn, std::size_t reps) {
     best = std::min(best, t.seconds());
   }
   return best;
+}
+
+/// Median of an odd-length sample.
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
 }
 
 /// Mean recall@k of `got` against the exact top-k `want`.
@@ -177,17 +186,30 @@ int main(int argc, char** argv) {
   sweep_table.print();
 
   // -- the serving defaults: the gated numbers -------------------------------
-  const double default_ms =
-      1e3 * best_seconds([&] { ivf.topk_cascade(emb, k, 0, rerank); }, reps);
+  // The speedup gate times its two sides back to back, kGatePairs times,
+  // and reads the median per-pair ratio: the start-up baseline above and a
+  // cascade timed seconds later can see different machine states on a
+  // shared host, which made a best-of-reps quotient flake around the gate.
+  constexpr std::size_t kGatePairs = 7;
+  std::vector<double> pair_exact_ms, pair_cascade_ms, pair_ratio;
+  for (std::size_t p = 0; p < kGatePairs; ++p) {
+    pair_exact_ms.push_back(1e3 * best_seconds([&] { sharded.topk_float(emb, k); }, 1));
+    pair_cascade_ms.push_back(
+        1e3 * best_seconds([&] { ivf.topk_cascade(emb, k, 0, rerank); }, 1));
+    pair_ratio.push_back(pair_exact_ms.back() / pair_cascade_ms.back());
+  }
+  const double default_exact_ms = median(pair_exact_ms);
+  const double default_ms = median(pair_cascade_ms);
+  const double default_speedup = median(pair_ratio);
   const double default_recall = recall_at_k(ivf.topk_cascade(emb, k, 0, rerank), truth);
-  const double default_speedup = exact_float_ms / default_ms;
   const auto stats = ivf.probe_stats();
   const double prune_rate =
       stats.rows_swept ? static_cast<double>(stats.rows_pruned) / stats.rows_swept : 0.0;
   std::printf("defaults (nprobe=%zu, rerank=%zu): cascade %.1f ms, recall@%zu %.4f, "
-              "%.2fx over exact float; early-exit pruned %.1f%% of swept rows\n",
+              "%.2fx over exact float (%.1f ms; medians of %zu back-to-back pairs); "
+              "early-exit pruned %.1f%% of swept rows\n",
               ivf.default_nprobe(), rerank, default_ms, k, default_recall, default_speedup,
-              100.0 * prune_rate);
+              default_exact_ms, kGatePairs, 100.0 * prune_rate);
 
   // -- machine-readable artifact ---------------------------------------------
   if (args.has("json")) {
@@ -219,9 +241,11 @@ int main(int argc, char** argv) {
     }
     std::fprintf(j, "  ],\n");
     std::fprintf(j,
-                 "  \"defaults\": {\"cascade_ms\": %.3f, \"recall\": %.5f, "
-                 "\"speedup\": %.3f, \"prune_rate\": %.4f}\n",
-                 default_ms, default_recall, default_speedup, prune_rate);
+                 "  \"defaults\": {\"cascade_ms\": %.3f, \"exact_float_ms\": %.3f, "
+                 "\"recall\": %.5f, \"speedup\": %.3f, \"gate_pairs\": %zu, "
+                 "\"prune_rate\": %.4f}\n",
+                 default_ms, default_exact_ms, default_recall, default_speedup, kGatePairs,
+                 prune_rate);
     std::fprintf(j, "}\n");
     std::fclose(j);
     std::printf("\nwrote %s\n", json_path.c_str());

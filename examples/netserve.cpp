@@ -50,6 +50,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <exception>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -155,9 +156,7 @@ int run_client(const util::ArgMap& args, const std::string& connect) {
   return ok == n_requests ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::ArgMap args(argc, argv);
   if (args.has("connect")) return run_client(args, args.get_str("connect", ""));
 
@@ -277,4 +276,17 @@ int main(int argc, char** argv) {
   registry.stop_all();
   std::printf("netserve: shut down cleanly\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Any failure (a missing or corrupt artifact, a rejected delta) ends with
+  // the library's named error and exit 1; a bad flag spelling still exits 2.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "netserve: %s\n", e.what());
+    return 1;
+  }
 }

@@ -57,6 +57,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <future>
 #include <memory>
 #include <thread>
@@ -79,9 +80,8 @@ nn::Tensor slice_image(const nn::Tensor& images, std::size_t b) {
   std::copy(src, src + per, out.data());
   return out;
 }
-}  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::ArgMap args(argc, argv);
   const std::size_t n_requests = static_cast<std::size_t>(args.get_int("requests", 240));
   const std::size_t clients = static_cast<std::size_t>(args.get_int("clients", 4));
@@ -406,4 +406,17 @@ int main(int argc, char** argv) {
     }
   }
   return total_matches == total_sent ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Any failure (a missing or corrupt artifact, a rejected delta) ends with
+  // the library's named error and exit 1; a bad flag spelling still exits 2.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "serve_demo: %s\n", e.what());
+    return 1;
+  }
 }

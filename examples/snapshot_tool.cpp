@@ -41,6 +41,7 @@
 //       artifact (bitwise the chain's end state, version counter advanced).
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 
 #include "core/pipeline.hpp"
@@ -164,9 +165,7 @@ void print_checksums(const serve::ModelSnapshot& snap, std::size_t n_probe,
                   fingerprint(snap.prototypes().score_binary(emb))));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::ArgMap args(argc, argv);
   const std::size_t n_probe = static_cast<std::size_t>(args.get_int("probe", 8));
   const std::size_t image_size = static_cast<std::size_t>(args.get_int("image-size", 32));
@@ -373,4 +372,17 @@ int main(int argc, char** argv) {
                "--append=PATH --out=DELTA [--classes=N --seen=K --seed=S] | "
                "--compact=PATH --deltas=D1[,D2...] --out=PATH\n");
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Any failure (a missing or corrupt artifact, a rejected delta) ends with
+  // the library's named error and exit 1; a bad flag spelling still exits 2.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "snapshot_tool: %s\n", e.what());
+    return 1;
+  }
 }

@@ -17,6 +17,7 @@ namespace hdczsc::serve {
 
 namespace {
 
+using detail::BinaryScoreRule;
 using detail::BoundedTopKHamming;
 using BoundedTopKFloat = detail::BoundedTopK<TopK>;
 
@@ -58,7 +59,11 @@ struct ScanScratch {
 /// the live bound as it tightens. Either way the offered keys are
 /// identical — the heap drops anything at or above its bound — so the
 /// choice moves scan cost only, never results.
-void scan_probed_lists(const std::uint64_t* qw, const std::vector<std::uint32_t>& probes,
+///
+/// Kept out of line: inlined into its one caller's per-query body, GCC
+/// schedules the list loop measurably worse (bench_ann_retrieval's cascade
+/// at the serving defaults).
+[[gnu::noinline]] void scan_probed_lists(const std::uint64_t* qw, const std::vector<std::uint32_t>& probes,
                        const std::vector<std::size_t>& list_offsets,
                        const std::vector<std::uint32_t>& list_rows,
                        const std::vector<std::uint64_t>& codes_prefix,
@@ -167,13 +172,6 @@ obs::Counter& ivf_rows_reranked_total() {
   static const std::shared_ptr<obs::Counter> c = obs::default_registry().counter(
       "serve_ivf_rows_reranked_total", {}, "binary candidates re-scored in float by the cascade");
   return *c;
-}
-
-void check_embeddings(const tensor::Tensor& embeddings, std::size_t dim, const char* what) {
-  if (embeddings.dim() != 2 || embeddings.size(1) != dim)
-    throw std::invalid_argument(std::string("IvfIndex::") + what + ": need [B, " +
-                                std::to_string(dim) + "] embeddings, got " +
-                                tensor::shape_str(embeddings.shape()));
 }
 
 }  // namespace
@@ -407,18 +405,19 @@ std::vector<std::uint32_t> IvfIndex::probe_binary(const std::uint64_t* qwords,
 
 IvfIndex::ProbeStats IvfIndex::probe_stats() const {
   ProbeStats s;
-  s.queries = counters_.queries.load(std::memory_order_relaxed);
-  s.centroids_probed = counters_.centroids_probed.load(std::memory_order_relaxed);
-  s.rows_swept = counters_.rows_swept.load(std::memory_order_relaxed);
-  s.rows_pruned = counters_.rows_pruned.load(std::memory_order_relaxed);
-  s.rows_reranked = counters_.rows_reranked.load(std::memory_order_relaxed);
+  s.queries = counters_->queries.load(std::memory_order_relaxed);
+  s.centroids_probed = counters_->centroids_probed.load(std::memory_order_relaxed);
+  s.rows_swept = counters_->rows_swept.load(std::memory_order_relaxed);
+  s.rows_pruned = counters_->rows_pruned.load(std::memory_order_relaxed);
+  s.rows_reranked = counters_->rows_reranked.load(std::memory_order_relaxed);
   return s;
 }
 
-std::vector<std::vector<TopK>> IvfIndex::topk_float(const tensor::Tensor& embeddings,
-                                                    std::size_t k, std::size_t nprobe,
-                                                    const SeenPenalty* penalty) const {
-  check_embeddings(embeddings, base_->dim(), "topk_float");
+std::vector<std::vector<TopK>> IvfIndex::search(const tensor::Tensor& embeddings,
+                                                std::size_t k, std::size_t nprobe, Plan plan,
+                                                std::size_t rerank, const SeenPenalty* penalty,
+                                                const char* who) const {
+  detail::check_embeddings(embeddings, base_->dim(), who);
   const std::size_t batch = embeddings.size(0);
   std::vector<std::vector<TopK>> out(batch);
   if (k == 0 || batch == 0) return out;
@@ -426,263 +425,157 @@ std::vector<std::vector<TopK>> IvfIndex::topk_float(const tensor::Tensor& embedd
   const std::size_t d = base_->dim();
   const std::size_t cc = n_centroids();
   const std::size_t np = resolve_nprobe(nprobe);
+  const std::size_t wpr = base_->words_per_row();
+  const std::size_t wp = prefix_words_;
+  const std::size_t ws = wpr - wp;
   const float scale = base_->scale();
-  const tensor::Tensor e_hat = tensor::l2_normalize_rows(embeddings);
-  const float* E = e_hat.data();
-  const float* P = base_->float_rows();
-  const bool penalized = penalty && penalty->active();
   const std::size_t kk = std::min(k, n_rows());
+  // The float stage applies any handicap in subtract form. The binary scan
+  // follows the score rule; the cascade's prefilter only folds a handicap
+  // that is an exact Hamming offset and otherwise ranks raw Hamming.
+  const float* adj = penalty && penalty->active() ? penalty->row_penalty.data() : nullptr;
+  const BinaryScoreRule rule(scale, base_->code_bits(), penalty,
+                             plan == Plan::kCascade ? BinaryScoreRule::Inexact::kIgnore
+                                                    : BinaryScoreRule::Inexact::kSubtract);
 
-  // Probe: one [B, Cc] dot block against the centroids for the whole batch.
-  std::vector<float> cdots(batch * cc, 0.0f);
-  tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, cc, d, E, d,
-                          centroids_.data(), d, cdots.data(), cc);
+  // Float probes and float scoring need the normalized queries and one
+  // [B, Cc] dot block against the centroids; binary probes and binary
+  // scans need the packed query codes (topk_float encodes none).
+  tensor::Tensor e_hat;
+  std::vector<float> cdots;
+  if (plan != Plan::kBinary) {
+    e_hat = tensor::l2_normalize_rows(embeddings);
+    cdots.assign(batch * cc, 0.0f);
+    tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, cc, d, e_hat.data(), d,
+                            centroids_.data(), d, cdots.data(), cc);
+  }
+  std::vector<std::uint64_t> qwords;
+  if (plan != Plan::kFloat) qwords = base_->encode_queries(embeddings);
+  const float* P = base_->float_rows();
 
   util::parallel_for(
       0, batch,
       [&](std::size_t b) {
-        const std::vector<std::uint32_t> probes = probe_float(cdots.data() + b * cc, np);
-        const float* erow = E + b * d;
-        std::uint64_t swept = 0;
-        std::vector<TopK> slots(kk);
-        BoundedTopKFloat heap(slots.data(), kk);
-        for (std::uint32_t c : probes) {
-          const std::size_t off = list_offsets_[c];
-          const std::size_t len = list_offsets_[c + 1] - off;
-          swept += len;
-          for (std::size_t i = 0; i < len; ++i) {
-            const std::size_t row = list_rows_[off + i];
-            // Double-accumulated row dot — the exact summation the naive
-            // GEMM kernel (tensor/gemm.cpp N×T path) performs, so a full
-            // probe reproduces the exact path's scores bit-for-bit
-            // wherever that kernel runs.
+        // 1. Probe: the nprobe nearest centroids.
+        const std::uint64_t* qw = qwords.empty() ? nullptr : qwords.data() + b * wpr;
+        const std::vector<std::uint32_t> probes = plan == Plan::kBinary
+                                                      ? probe_binary(qw, np)
+                                                      : probe_float(cdots.data() + b * cc, np);
+        std::size_t total = 0;
+        for (std::uint32_t c : probes) total += list_size(c);
+
+        // 2. Candidates: the binary hits themselves (budget k), every
+        // probed row (the float path), or the cascade's rerank·k. A
+        // cascade budget covering every probed row (rerank == 0 is the
+        // unbounded sentinel) skips the prefilter outright — with nprobe ==
+        // Cc that is exactly the exact float top-k.
+        std::size_t budget = total;
+        if (plan == Plan::kBinary)
+          budget = kk;
+        else if (plan == Plan::kCascade && rerank != 0 && rerank < (total + kk - 1) / kk)
+          budget = rerank * kk;
+        const bool scan = plan == Plan::kBinary || budget < total;
+        std::uint64_t swept = 0, pruned = 0;
+        std::vector<TopK> hits;  // the scan's survivors, as binary hits
+        if (scan) {
+          ScanScratch scratch(max_list_);
+          if (rule.integer_keys) {
+            // Early-exit scan on integer keys; ascending keys are the
+            // (score desc, label asc) order under the score rule.
+            std::vector<std::uint64_t> keys(budget);
+            BoundedTopKHamming heap(keys.data(), budget, ~std::uint64_t{0});
+            scan_probed_lists(qw, probes, list_offsets_, list_rows_, codes_prefix_,
+                              codes_suffix_, wp, ws, rule.row_offset, heap, scratch, swept,
+                              pruned);
+            keys.resize(heap.size());
+            if (plan == Plan::kBinary) std::sort(keys.begin(), keys.end());
+            hits.reserve(keys.size());
+            for (std::uint64_t key : keys) hits.push_back(rule.hit(key));
+          } else {
+            // Float domain (see BinaryScoreRule): no admissible integer
+            // bound to prune on, so a full-width scan, then the same
+            // subtract-form scores the exact path selects on.
+            hits.resize(budget);
+            BoundedTopKFloat heap(hits.data(), budget);
+            scan_probed_lists_full(qw, probes, list_offsets_, list_rows_, codes_prefix_,
+                                   codes_suffix_, wp, ws, scratch, swept,
+                                   [&](std::uint32_t row, std::uint32_t h) {
+                                     heap.offer(TopK{row, rule.score(h, row)});
+                                   });
+            hits.resize(heap.size());
+            if (plan == Plan::kBinary) std::sort(hits.begin(), hits.end(), detail::better<TopK>);
+          }
+        }
+
+        // 3. Score: binary hits are final; otherwise re-score the
+        // candidates with exact float cosine dots, double-accumulated — the
+        // naive GEMM kernel's summation (tensor/gemm.cpp N×T path), so a
+        // full probe reproduces the exact path's scores bit for bit
+        // wherever that kernel runs.
+        std::uint64_t rescored = 0;
+        if (plan == Plan::kBinary) {
+          out[b] = std::move(hits);
+        } else {
+          const float* erow = e_hat.data() + b * d;
+          std::vector<TopK> slots(kk);
+          BoundedTopKFloat heap(slots.data(), kk);
+          const auto rescore = [&](std::size_t row) {
             const float* prow = P + row * d;
             double acc = 0.0;
             for (std::size_t j = 0; j < d; ++j) acc += erow[j] * prow[j];
             float s = scale * static_cast<float>(acc);
-            if (penalized) s -= penalty->row_penalty[row];
+            if (adj) s -= adj[row];
             heap.offer(TopK{row, s});
+          };
+          if (scan) {
+            for (const TopK& hit : hits) rescore(hit.label);
+            rescored = hits.size();
+          } else {
+            for (std::uint32_t c : probes)
+              for (std::size_t i = list_offsets_[c]; i < list_offsets_[c + 1]; ++i)
+                rescore(list_rows_[i]);
+            rescored = total;
           }
+          std::vector<TopK>& merged = out[b];
+          merged.assign(slots.begin(), slots.begin() + heap.size());
+          std::sort(merged.begin(), merged.end(), detail::better<TopK>);
         }
-        std::vector<TopK>& merged = out[b];
-        merged.assign(slots.begin(), slots.begin() + heap.size());
-        std::sort(merged.begin(), merged.end(), detail::better<TopK>);
-        counters_.queries.fetch_add(1, std::memory_order_relaxed);
-        counters_.centroids_probed.fetch_add(probes.size(), std::memory_order_relaxed);
-        counters_.rows_swept.fetch_add(swept, std::memory_order_relaxed);
+
+        // The float path's scoring is its sweep; the cascade's is a rerank.
+        if (plan == Plan::kFloat) swept += rescored;
+        const std::uint64_t reranked = plan == Plan::kCascade ? rescored : 0;
+        counters_->queries.fetch_add(1, std::memory_order_relaxed);
+        counters_->centroids_probed.fetch_add(probes.size(), std::memory_order_relaxed);
+        counters_->rows_swept.fetch_add(swept, std::memory_order_relaxed);
+        counters_->rows_pruned.fetch_add(pruned, std::memory_order_relaxed);
+        counters_->rows_reranked.fetch_add(reranked, std::memory_order_relaxed);
         ivf_centroids_probed_total().add(probes.size());
         ivf_rows_swept_total().add(swept);
+        ivf_rows_pruned_total().add(pruned);
+        ivf_rows_reranked_total().add(reranked);
       },
       /*grain=*/1);
   return out;
 }
 
+std::vector<std::vector<TopK>> IvfIndex::topk_float(const tensor::Tensor& embeddings,
+                                                    std::size_t k, std::size_t nprobe,
+                                                    const SeenPenalty* penalty) const {
+  return search(embeddings, k, nprobe, Plan::kFloat, 0, penalty, "IvfIndex::topk_float");
+}
+
 std::vector<std::vector<TopK>> IvfIndex::topk_binary(const tensor::Tensor& embeddings,
                                                      std::size_t k, std::size_t nprobe,
                                                      const SeenPenalty* penalty) const {
-  check_embeddings(embeddings, base_->dim(), "topk_binary");
-  const std::size_t batch = embeddings.size(0);
-  std::vector<std::vector<TopK>> out(batch);
-  if (k == 0 || batch == 0) return out;
-
-  const std::size_t np = resolve_nprobe(nprobe);
-  const std::size_t wpr = base_->words_per_row();
-  const std::size_t wp = prefix_words_;
-  const std::size_t ws = wpr - wp;
-  const float scale = base_->scale();
-  const float inv_d = 1.0f / static_cast<float>(base_->code_bits());
-  const bool penalized = penalty && penalty->active();
-  const std::size_t kk = std::min(k, n_rows());
-  // Same integer-domain precondition as the exact sharded scan
-  // (topk_select.hpp): integer keys — and with them the early exit — need
-  // the (h asc, label asc) order to coincide with (score desc, label asc).
-  const bool integer_select = scale > 0.0f && base_->code_bits() < (std::size_t{1} << 24) &&
-                              (!penalized || penalty->integer_exact);
-
-  const std::vector<std::uint64_t> qwords = base_->encode_queries(embeddings);
-
-  util::parallel_for(
-      0, batch,
-      [&](std::size_t b) {
-        const std::uint64_t* qw = qwords.data() + b * wpr;
-        const std::vector<std::uint32_t> probes = probe_binary(qw, np);
-        std::uint64_t swept = 0, pruned = 0;
-        ScanScratch scratch(max_list_);
-        std::vector<TopK>& merged = out[b];
-
-        if (integer_select) {
-          std::vector<std::uint64_t> keys(kk);
-          BoundedTopKHamming heap(keys.data(), kk, ~std::uint64_t{0});
-          scan_probed_lists(qw, probes, list_offsets_, list_rows_, codes_prefix_,
-                            codes_suffix_, wp, ws,
-                            penalized ? penalty->row_offset.data() : nullptr, heap, scratch,
-                            swept, pruned);
-          // Ascending keys == (h asc, label asc) == (score desc, label asc)
-          // under the integer-select precondition — the exact gather order.
-          std::sort(keys.begin(), keys.begin() + heap.size());
-          merged.resize(heap.size());
-          for (std::size_t i = 0; i < heap.size(); ++i) {
-            const auto hv = static_cast<float>(keys[i] >> 32);
-            merged[i] = TopK{static_cast<std::size_t>(keys[i] & 0xffffffffu),
-                             scale * (1.0f - 2.0f * hv * inv_d)};
-          }
-        } else {
-          // Float-domain fallback (pathological widths, non-positive
-          // scale, or a non-integer GZSL handicap): full-width scan,
-          // subtract-form scores — exactly the exact path's fallback. No
-          // early exit: without integer keys there is no admissible
-          // integer bound to prune on.
-          const float* adj = penalized ? penalty->row_penalty.data() : nullptr;
-          std::vector<TopK> slots(kk);
-          BoundedTopKFloat heap(slots.data(), kk);
-          scan_probed_lists_full(qw, probes, list_offsets_, list_rows_, codes_prefix_,
-                                 codes_suffix_, wp, ws, scratch, swept,
-                                 [&](std::uint32_t row, std::uint32_t h) {
-                                   if (adj) {
-                                     heap.offer(TopK{row, scale * (1.0f -
-                                                                   2.0f * static_cast<float>(h) *
-                                                                       inv_d) -
-                                                              adj[row]});
-                                   } else {
-                                     heap.offer(TopK{row, scale * (1.0f -
-                                                                   2.0f * static_cast<float>(h) *
-                                                                       inv_d)});
-                                   }
-                                 });
-          merged.assign(slots.begin(), slots.begin() + heap.size());
-          std::sort(merged.begin(), merged.end(), detail::better<TopK>);
-        }
-
-        counters_.queries.fetch_add(1, std::memory_order_relaxed);
-        counters_.centroids_probed.fetch_add(probes.size(), std::memory_order_relaxed);
-        counters_.rows_swept.fetch_add(swept, std::memory_order_relaxed);
-        counters_.rows_pruned.fetch_add(pruned, std::memory_order_relaxed);
-        ivf_centroids_probed_total().add(probes.size());
-        ivf_rows_swept_total().add(swept);
-        ivf_rows_pruned_total().add(pruned);
-      },
-      /*grain=*/1);
-  return out;
+  return search(embeddings, k, nprobe, Plan::kBinary, 0, penalty, "IvfIndex::topk_binary");
 }
 
 std::vector<std::vector<TopK>> IvfIndex::topk_cascade(const tensor::Tensor& embeddings,
                                                       std::size_t k, std::size_t nprobe,
                                                       std::size_t rerank,
                                                       const SeenPenalty* penalty) const {
-  check_embeddings(embeddings, base_->dim(), "topk_cascade");
-  const std::size_t batch = embeddings.size(0);
-  std::vector<std::vector<TopK>> out(batch);
-  if (k == 0 || batch == 0) return out;
-
-  const std::size_t d = base_->dim();
-  const std::size_t cc = n_centroids();
-  const std::size_t np = resolve_nprobe(nprobe);
-  const std::size_t wpr = base_->words_per_row();
-  const std::size_t wp = prefix_words_;
-  const std::size_t ws = wpr - wp;
-  const float scale = base_->scale();
-  const bool penalized = penalty && penalty->active();
-  const std::size_t kk = std::min(k, n_rows());
-  // The prefilter ranks raw integer Hamming keys; an integer-exact GZSL
-  // handicap folds in, any other handicap is applied only by the float
-  // rerank (the prefilter then ranks unpenalized — documented contract).
-  const bool integer_keys = scale > 0.0f && base_->code_bits() < (std::size_t{1} << 24);
-  const bool fold_offsets = penalized && penalty->integer_exact;
-
-  const tensor::Tensor e_hat = tensor::l2_normalize_rows(embeddings);
-  const float* E = e_hat.data();
-  const float* P = base_->float_rows();
-
-  // Probe in the float domain (the rerank needs e_hat anyway).
-  std::vector<float> cdots(batch * cc, 0.0f);
-  tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, cc, d, E, d,
-                          centroids_.data(), d, cdots.data(), cc);
-
-  const std::vector<std::uint64_t> qwords = base_->encode_queries(embeddings);
-
-  util::parallel_for(
-      0, batch,
-      [&](std::size_t b) {
-        const std::vector<std::uint32_t> probes = probe_float(cdots.data() + b * cc, np);
-        const std::uint64_t* qw = qwords.data() + b * wpr;
-        const float* erow = E + b * d;
-        std::uint64_t swept = 0, pruned = 0;
-
-        std::size_t total = 0;
-        for (std::uint32_t c : probes) total += list_offsets_[c + 1] - list_offsets_[c];
-        // rerank == 0 is the unbounded sentinel; a budget covering every
-        // probed row skips the prefilter outright — with nprobe == Cc that
-        // is exactly the exact float top-k.
-        const std::size_t kprime =
-            (rerank == 0 || rerank >= (total + kk - 1) / kk) ? total : rerank * kk;
-
-        std::vector<std::uint32_t> cands;
-        if (kprime >= total) {
-          cands.reserve(total);
-          for (std::uint32_t c : probes) {
-            const std::size_t off = list_offsets_[c];
-            const std::size_t len = list_offsets_[c + 1] - off;
-            cands.insert(cands.end(), list_rows_.begin() + off,
-                         list_rows_.begin() + off + len);
-          }
-        } else if (integer_keys) {
-          // Binary prefilter with the same early-exit scan the IVF binary
-          // path runs, k-heap bounded at rerank·k.
-          ScanScratch scratch(max_list_);
-          std::vector<std::uint64_t> keys(kprime);
-          BoundedTopKHamming heap(keys.data(), kprime, ~std::uint64_t{0});
-          scan_probed_lists(qw, probes, list_offsets_, list_rows_, codes_prefix_,
-                            codes_suffix_, wp, ws,
-                            fold_offsets ? penalty->row_offset.data() : nullptr, heap,
-                            scratch, swept, pruned);
-          cands.reserve(heap.size());
-          for (std::size_t i = 0; i < heap.size(); ++i)
-            cands.push_back(static_cast<std::uint32_t>(keys[i] & 0xffffffffu));
-        } else {
-          // No integer key order (non-positive scale or ≥ 2²⁴-bit codes):
-          // full-width float-domain prefilter on unpenalized binary scores.
-          const float inv_d = 1.0f / static_cast<float>(base_->code_bits());
-          ScanScratch scratch(max_list_);
-          std::vector<TopK> slots(kprime);
-          BoundedTopKFloat heap(slots.data(), kprime);
-          scan_probed_lists_full(
-              qw, probes, list_offsets_, list_rows_, codes_prefix_, codes_suffix_, wp, ws,
-              scratch, swept, [&](std::uint32_t row, std::uint32_t h) {
-                heap.offer(TopK{row, scale * (1.0f - 2.0f * static_cast<float>(h) * inv_d)});
-              });
-          cands.reserve(heap.size());
-          for (std::size_t i = 0; i < heap.size(); ++i)
-            cands.push_back(static_cast<std::uint32_t>(slots[i].label));
-        }
-
-        // Float rerank: exact cosine dots (double-accumulated, the naive
-        // GEMM summation) over the surviving candidates only.
-        std::vector<TopK> slots(kk);
-        BoundedTopKFloat final_heap(slots.data(), kk);
-        for (std::uint32_t row : cands) {
-          const float* prow = P + static_cast<std::size_t>(row) * d;
-          double acc = 0.0;
-          for (std::size_t j = 0; j < d; ++j) acc += erow[j] * prow[j];
-          float s = scale * static_cast<float>(acc);
-          if (penalized) s -= penalty->row_penalty[row];
-          final_heap.offer(TopK{row, s});
-        }
-        std::vector<TopK>& merged = out[b];
-        merged.assign(slots.begin(), slots.begin() + final_heap.size());
-        std::sort(merged.begin(), merged.end(), detail::better<TopK>);
-
-        counters_.queries.fetch_add(1, std::memory_order_relaxed);
-        counters_.centroids_probed.fetch_add(probes.size(), std::memory_order_relaxed);
-        counters_.rows_swept.fetch_add(swept, std::memory_order_relaxed);
-        counters_.rows_pruned.fetch_add(pruned, std::memory_order_relaxed);
-        counters_.rows_reranked.fetch_add(cands.size(), std::memory_order_relaxed);
-        ivf_centroids_probed_total().add(probes.size());
-        ivf_rows_swept_total().add(swept);
-        ivf_rows_pruned_total().add(pruned);
-        ivf_rows_reranked_total().add(cands.size());
-      },
-      /*grain=*/1);
-  return out;
+  return search(embeddings, k, nprobe, Plan::kCascade, rerank, penalty,
+                "IvfIndex::topk_cascade");
 }
 
 }  // namespace hdczsc::serve

@@ -33,17 +33,23 @@
 //     cost. rerank == 0 means unbounded: every probed row is reranked, so
 //     nprobe == Cc degenerates to the exact float top-k.
 //
-// All three respect the retrieval contract shared with the exact paths:
-// results ordered by (score desc, label asc), scores computed by the same
-// expressions score_float / score_binary materialize, GZSL seen-penalties
-// applied identically (integer Hamming offsets where exact, float subtract
-// form otherwise). Thread-safe after construction (telemetry is atomic);
-// the set_prefix_words test hook is the one non-const exception.
+// topk_float, topk_binary and topk_cascade are one pipeline (search):
+// probe → candidates → score. They differ only in the probe domain (float
+// dot or centroid-code Hamming), the candidate budget (every probed row, k,
+// or rerank·k) and the finish (float re-score or the binary hits). All
+// three keep the retrieval contract shared with the exact paths: results
+// ordered by (score desc, label asc), binary scores from the one score rule
+// (topk_select.hpp) score_binary and the sharded scan use, GZSL
+// seen-penalties applied identically (integer Hamming offsets where exact,
+// float subtract form otherwise). Thread-safe after construction
+// (telemetry is atomic); the set_prefix_words test hook is the one
+// non-const exception.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -182,6 +188,18 @@ class IvfIndex {
   std::vector<std::uint32_t> probe_binary(const std::uint64_t* qwords,
                                           std::size_t nprobe) const;
 
+  /// What a top-k call runs through the one pipeline: probe → candidates →
+  /// score.
+  ///   kFloat    float probe; every probed row is a candidate; float scores.
+  ///   kBinary   binary probe; the early-exit scan keeps k candidates,
+  ///             which are the binary hits.
+  ///   kCascade  float probe; the scan keeps rerank·k candidates (every
+  ///             probed row when that budget covers them); float rerank.
+  enum class Plan : unsigned char { kFloat, kBinary, kCascade };
+  std::vector<std::vector<TopK>> search(const tensor::Tensor& embeddings, std::size_t k,
+                                        std::size_t nprobe, Plan plan, std::size_t rerank,
+                                        const SeenPenalty* penalty, const char* who) const;
+
   const PrototypeStore* base_ = nullptr;
   tensor::Tensor centroids_;                    // [Cc, d], unit rows
   std::vector<std::uint64_t> centroid_codes_;   // [Cc * words_per_row]
@@ -193,31 +211,16 @@ class IvfIndex {
   std::size_t prefix_words_ = 0;
   std::size_t max_list_ = 0;  // longest list (scan scratch sizing)
 
+  /// Telemetry, behind a pointer so the index stays movable (from_parts
+  /// returns it by value). A few relaxed fetch_adds per query.
   struct Counters {
     std::atomic<std::uint64_t> queries{0};
     std::atomic<std::uint64_t> centroids_probed{0};
     std::atomic<std::uint64_t> rows_swept{0};
     std::atomic<std::uint64_t> rows_pruned{0};
     std::atomic<std::uint64_t> rows_reranked{0};
-
-    // Movable so from_parts can return the index by value; moves happen
-    // only before the index is shared, never concurrently with scans.
-    Counters() = default;
-    Counters(Counters&& o) noexcept { *this = std::move(o); }
-    Counters& operator=(Counters&& o) noexcept {
-      queries.store(o.queries.load(std::memory_order_relaxed), std::memory_order_relaxed);
-      centroids_probed.store(o.centroids_probed.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-      rows_swept.store(o.rows_swept.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-      rows_pruned.store(o.rows_pruned.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      rows_reranked.store(o.rows_reranked.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-      return *this;
-    }
   };
-  mutable Counters counters_;
+  std::unique_ptr<Counters> counters_ = std::make_unique<Counters>();
 };
 
 }  // namespace hdczsc::serve

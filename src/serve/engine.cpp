@@ -176,30 +176,16 @@ std::vector<Prediction> InferenceEngine::classify_batch(const tensor::Tensor& in
   util::Timer clock;
   const std::shared_ptr<const StoreVersion> ver = pin();  // one version per batch
 
-  std::vector<Prediction> out;
-  if (retrieval_ != RetrievalMode::kExact || ver->sharded->n_shards() > 1) {
-    // Approximate tiers and the sharded store: classify is the k = 1
-    // retrieval — no [B, C] logits materialization, no full-width argmax
-    // sweep. An IVF probe can in principle come back empty (every probed
-    // list empty); that degenerates to "no prediction", reported as label
-    // 0 with a -inf score rather than UB.
-    const auto hits = topk_embedded(*ver, emb, 1);
-    out.resize(hits.size());
-    for (std::size_t b = 0; b < hits.size(); ++b)
-      out[b] = hits[b].empty()
-                   ? Prediction{0, -std::numeric_limits<float>::infinity()}
-                   : Prediction{hits[b][0].label, hits[b][0].score};
-  } else {
-    tensor::Tensor p = mode_ == ScoringMode::kFloatCosine
-                           ? ver->store->score_float(emb, ver->penalty_ptr())
-                           : ver->store->score_binary(emb, ver->penalty_ptr());
-    const std::size_t classes = p.size(1);
-    const std::vector<std::size_t> best = tensor::argmax_rows(p);
-    out.resize(best.size());
-    const float* P = p.data();
-    for (std::size_t b = 0; b < best.size(); ++b)
-      out[b] = Prediction{best[b], P[b * classes + best[b]]};
-  }
+  // Classify is the k = 1 retrieval on every tier: no [B, C] logits
+  // materialization, no full-width argmax sweep, and the same selection
+  // (and tie-break) as topk_batch. An IVF probe can in principle come back
+  // empty (every probed list empty); that degenerates to "no prediction",
+  // reported as label 0 with a -inf score rather than UB.
+  const auto hits = topk_embedded(*ver, emb, 1);
+  std::vector<Prediction> out(hits.size());
+  for (std::size_t b = 0; b < hits.size(); ++b)
+    out[b] = hits[b].empty() ? Prediction{0, -std::numeric_limits<float>::infinity()}
+                             : Prediction{hits[b][0].label, hits[b][0].score};
   if (timings) {
     timings->embed_ms = embed_ms;
     timings->score_ms = clock.millis();

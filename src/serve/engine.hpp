@@ -16,7 +16,7 @@
 //    sharded scatter/gather scan (sharded_store.hpp). With n_shards == 1
 //    the sharded store degenerates to the flat layout; either way the
 //    ranking equals the flat path's full argsort. classify_batch is the
-//    k = 1 case and routes through the sharded scan when n_shards > 1.
+//    k = 1 case on every retrieval tier.
 //
 // GZSL serving: when the version carries a seen/unseen partition, the
 // calibrated-stacking penalty is subtracted from every seen-class logit on
@@ -162,9 +162,10 @@ class InferenceEngine {
   std::vector<std::vector<TopK>> topk_batch(const tensor::Tensor& inputs, std::size_t k,
                                             BatchTimings* timings = nullptr) const;
 
-  /// Argmax + winning score per input (images or embeddings, as above).
-  /// `timings`, when non-null, receives the embed/score wall-time split;
-  /// results are identical either way.
+  /// Argmax + winning score per input (images or embeddings, as above):
+  /// topk_batch's top hit, so ties go to the lower label. `timings`, when
+  /// non-null, receives the embed/score wall-time split; results are
+  /// identical either way.
   std::vector<Prediction> classify_batch(const tensor::Tensor& inputs,
                                          BatchTimings* timings = nullptr) const;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "serve/topk_select.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -241,10 +242,7 @@ SeenPenalty PrototypeStore::resolve_penalty(float penalty,
 
 tensor::Tensor PrototypeStore::score_float(const tensor::Tensor& embeddings,
                                            const SeenPenalty* penalty) const {
-  if (embeddings.dim() != 2 || embeddings.size(1) != dim_)
-    throw std::invalid_argument("PrototypeStore::score_float: need [B, " +
-                                std::to_string(dim_) + "] embeddings, got " +
-                                tensor::shape_str(embeddings.shape()));
+  detail::check_embeddings(embeddings, dim_, "PrototypeStore::score_float");
   const std::size_t batch = embeddings.size(0);
   tensor::Tensor e_hat = tensor::l2_normalize_rows(embeddings);
   // Zero-init + gemm_accumulate over the slab prefix is exactly what
@@ -295,38 +293,23 @@ std::vector<std::uint64_t> PrototypeStore::encode_queries(
 
 tensor::Tensor PrototypeStore::score_binary(const tensor::Tensor& embeddings,
                                             const SeenPenalty* penalty) const {
-  if (embeddings.dim() != 2 || embeddings.size(1) != dim_)
-    throw std::invalid_argument("PrototypeStore::score_binary: need [B, " +
-                                std::to_string(dim_) + "] embeddings, got " +
-                                tensor::shape_str(embeddings.shape()));
+  detail::check_embeddings(embeddings, dim_, "PrototypeStore::score_binary");
   const std::size_t batch = embeddings.size(0);
   tensor::Tensor logits({batch, n_classes_});
   const std::vector<std::uint64_t> queries = encode_queries(embeddings);
   float* L = logits.data();
   std::vector<std::uint32_t> h(n_classes_);
-  const float inv_d = 1.0f / static_cast<float>(code_bits_);
-  const bool penalized = penalty && penalty->active();
-  const std::uint32_t* off =
-      penalized && penalty->integer_exact ? penalty->row_offset.data() : nullptr;
-  const float* adj = penalized && !penalty->integer_exact ? penalty->row_penalty.data()
-                                                          : nullptr;
+  // The score rule every top-k path uses (topk_select.hpp): an
+  // integer-exact handicap scores seen rows as if their Hamming distance
+  // were h + Δ, any other handicap is subtracted from the logit.
+  const detail::BinaryScoreRule rule(scale_, code_bits_, penalty);
   for (std::size_t b = 0; b < batch; ++b) {
     hdc::hamming_many_packed(queries.data() + b * words_per_row_, packed_data(), n_classes_,
                              words_per_row_, h.data());
+    if (rule.row_offset)
+      for (std::size_t c = 0; c < n_classes_; ++c) h[c] += rule.row_offset[c];
     float* out = L + b * n_classes_;
-    if (off) {
-      // Integer-exact handicap: seen rows are scored as if their Hamming
-      // distance were h + Δ — the identical expression the sharded scan
-      // evaluates for its gathered candidates (bit-identical by design).
-      for (std::size_t c = 0; c < n_classes_; ++c)
-        out[c] = scale_ * (1.0f - 2.0f * static_cast<float>(h[c] + off[c]) * inv_d);
-    } else if (adj) {
-      for (std::size_t c = 0; c < n_classes_; ++c)
-        out[c] = scale_ * (1.0f - 2.0f * static_cast<float>(h[c]) * inv_d) - adj[c];
-    } else {
-      for (std::size_t c = 0; c < n_classes_; ++c)
-        out[c] = scale_ * (1.0f - 2.0f * static_cast<float>(h[c]) * inv_d);
-    }
+    for (std::size_t c = 0; c < n_classes_; ++c) out[c] = rule.score(h[c], c);
   }
   return logits;
 }

@@ -68,8 +68,8 @@ namespace hdczsc::serve {
 /// constant `penalty` is subtracted from every *seen*-class logit to
 /// counter the seen-class bias in generalized zero-shot serving — the
 /// serving-side form of Trainer::evaluate_gzsl. Built via
-/// PrototypeStore::resolve_penalty, consumed by both flat scoring paths
-/// and the sharded scatter/gather scan.
+/// PrototypeStore::resolve_penalty, consumed by both flat scoring paths,
+/// the sharded scatter/gather scan and the IVF tier.
 ///
 /// On the binary path the handicap is translated into the integer Hamming
 /// domain whenever it is exactly representable there: a seen-class row is
@@ -82,7 +82,10 @@ namespace hdczsc::serve {
 /// (`integer_exact` false: fractional offset, non-positive penalty or
 /// scale, or h + offset would leave the float-exact range < 2²⁴), both
 /// paths fall back to the float form scale·(1 − 2h/D) − penalty and the
-/// sharded scan selects in the float domain.
+/// sharded scan selects in the float domain. That is the usual case for a
+/// calibrated penalty: calibrate_seen_penalty returns a value just past a
+/// decision margin, a few ulps off the Hamming grid. The one place these
+/// forms become scores is detail::BinaryScoreRule (topk_select.hpp).
 struct SeenPenalty {
   float penalty = 0.0f;  ///< p, subtracted from every seen-class logit
   /// Per-class float handicap: penalty for seen rows, 0 for unseen ([C]).

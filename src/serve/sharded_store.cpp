@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "serve/topk_select.hpp"
@@ -14,14 +13,15 @@ namespace hdczsc::serve {
 
 namespace {
 
-// Selection primitives shared with the approximate tier (topk_select.hpp):
-// same (score desc, label asc) order, same block-skip thresholds, same
-// integer-key Hamming domain — the basis of the exact/approximate
-// bit-identity properties in tests/test_ann_retrieval.cpp.
+// Selection primitives and the binary score rule shared with the flat
+// scans and the approximate tier (topk_select.hpp): same (score desc,
+// label asc) order, same block-skip thresholds, same integer-key Hamming
+// domain — the basis of the exact/approximate bit-identity properties in
+// tests/test_ann_retrieval.cpp.
 using detail::kSelectBlock;
 using BoundedTopK = detail::BoundedTopK<TopK>;
+using detail::BinaryScoreRule;
 using detail::BoundedTopKHamming;
-inline bool better(const TopK& a, const TopK& b) { return detail::better(a, b); }
 
 /// Process-wide scan telemetry in obs::default_registry(): per-shard scan
 /// wall time (profiling-gated, see obs::ScopedTimer) and swept/pruned row
@@ -44,11 +44,49 @@ obs::Counter& rows_pruned_total() {
   return *c;
 }
 
-void check_embeddings(const tensor::Tensor& embeddings, std::size_t dim, const char* what) {
-  if (embeddings.dim() != 2 || embeddings.size(1) != dim)
-    throw std::invalid_argument(std::string("ShardedPrototypeStore::") + what + ": need [B, " +
-                                std::to_string(dim) + "] embeddings, got " +
-                                tensor::shape_str(embeddings.shape()));
+/// The float-domain selection loop: one query's finished logits `row`
+/// (labels first_label + i) into `heap`, a block of kSelectBlock rows at a
+/// time. A block whose every score is strictly below the cutoff is skipped
+/// with one compare-reduce (`>=` keeps equal scores, which may still enter
+/// on the label tie-break). Returns the rows skipped; the count stays in a
+/// local so the loop keeps it in a register.
+std::uint64_t select_float(const float* row, std::size_t rows, std::size_t first_label,
+                           BoundedTopK& heap) {
+  std::uint64_t pruned = 0;
+  std::size_t i = 0;
+  for (; i + kSelectBlock <= rows; i += kSelectBlock) {
+    const float cut = heap.cutoff_score();
+    std::uint32_t any = 0;
+    for (std::size_t j = 0; j < kSelectBlock; ++j) any |= row[i + j] >= cut ? 1u : 0u;
+    if (!any) {
+      pruned += kSelectBlock;
+      continue;
+    }
+    for (std::size_t j = 0; j < kSelectBlock; ++j)
+      heap.offer(TopK{first_label + i + j, row[i + j]});
+  }
+  for (; i < rows; ++i) heap.offer(TopK{first_label + i, row[i]});
+  return pruned;
+}
+
+/// The integer-key selection loop: the same block skip over one query's
+/// (handicap-folded) Hamming counts, against the heap's Hamming threshold.
+std::uint64_t select_hamming(const std::uint32_t* hb, std::size_t rows,
+                             std::size_t first_label, BoundedTopKHamming& heap) {
+  std::uint64_t pruned = 0;
+  std::size_t i = 0;
+  for (; i + kSelectBlock <= rows; i += kSelectBlock) {
+    const std::uint32_t t = heap.threshold();
+    std::uint32_t any = 0;
+    for (std::size_t j = 0; j < kSelectBlock; ++j) any |= hb[i + j] <= t ? 1u : 0u;
+    if (!any) {
+      pruned += kSelectBlock;
+      continue;
+    }
+    for (std::size_t j = 0; j < kSelectBlock; ++j) heap.offer(hb[i + j], first_label + i + j);
+  }
+  for (; i < rows; ++i) heap.offer(hb[i], first_label + i);
+  return pruned;
 }
 
 }  // namespace
@@ -68,10 +106,33 @@ ShardedPrototypeStore::ShardedPrototypeStore(const PrototypeStore& base, std::si
   counters_ = std::make_unique<Counters[]>(s);
 }
 
-std::vector<std::vector<TopK>> ShardedPrototypeStore::gather(
-    std::size_t batch, std::size_t k, const std::vector<TopK>& cand,
-    const std::vector<std::uint32_t>& cand_n) const {
+template <typename ScanShard>
+std::vector<std::vector<TopK>> ShardedPrototypeStore::scatter_gather(
+    std::size_t batch, std::size_t k, ScanShard&& scan_shard) const {
+  // Scatter: shards fan out across the worker pool. Shard s fills its own
+  // (query, k) candidate slots and counts — one flat slot per (shard,
+  // query), so the scan allocates no per-query storage — and reports the
+  // rows its block skip pruned.
   const std::size_t n_sh = shards_.size();
+  std::vector<TopK> cand(n_sh * batch * k);
+  std::vector<std::uint32_t> cand_n(n_sh * batch, 0);
+  util::parallel_for(
+      0, n_sh,
+      [&](std::size_t s) {
+        const obs::ScopedTimer scan_timer(shard_scan_hist());
+        const Shard sh = shards_[s];
+        const std::size_t rows = sh.end - sh.begin;
+        const std::uint64_t pruned = scan_shard(s, sh.begin, rows, cand.data() + s * batch * k,
+                                                cand_n.data() + s * batch);
+        counters_[s].scans.fetch_add(batch, std::memory_order_relaxed);
+        counters_[s].rows_swept.fetch_add(batch * rows, std::memory_order_relaxed);
+        counters_[s].rows_pruned.fetch_add(pruned, std::memory_order_relaxed);
+        rows_swept_total().add(batch * rows);
+        rows_pruned_total().add(pruned);
+      },
+      /*grain=*/1);
+
+  // Gather: merge the ≤ S·k candidates per query and cut the global top-k.
   std::vector<std::vector<TopK>> out(batch);
   for (std::size_t b = 0; b < batch; ++b) {
     std::vector<TopK>& merged = out[b];
@@ -80,7 +141,7 @@ std::vector<std::vector<TopK>> ShardedPrototypeStore::gather(
       const TopK* slot = cand.data() + (s * batch + b) * k;
       merged.insert(merged.end(), slot, slot + cand_n[s * batch + b]);
     }
-    std::sort(merged.begin(), merged.end(), better);
+    std::sort(merged.begin(), merged.end(), detail::better<TopK>);
     if (merged.size() > k) merged.resize(k);
   }
   return out;
@@ -88,7 +149,7 @@ std::vector<std::vector<TopK>> ShardedPrototypeStore::gather(
 
 std::vector<std::vector<TopK>> ShardedPrototypeStore::topk_float(
     const tensor::Tensor& embeddings, std::size_t k, const SeenPenalty* penalty) const {
-  check_embeddings(embeddings, base_->dim(), "topk_float");
+  detail::check_embeddings(embeddings, base_->dim(), "ShardedPrototypeStore::topk_float");
   const std::size_t batch = embeddings.size(0);
   if (k == 0) return std::vector<std::vector<TopK>>(batch);
 
@@ -97,201 +158,115 @@ std::vector<std::vector<TopK>> ShardedPrototypeStore::topk_float(
   const tensor::Tensor e_hat = tensor::l2_normalize_rows(embeddings);
   const float* E = e_hat.data();
   const float* P = base_->float_rows();
-  const bool penalized = penalty && penalty->active();
+  const float* adj = penalty && penalty->active() ? penalty->row_penalty.data() : nullptr;
 
-  // Scatter: one GEMM per shard over its row range of the normalized
-  // prototype matrix (the rows are contiguous, so the shard is a pointer
-  // offset, not a copy), then k-bounded selection per query straight into
-  // this (shard, query)'s candidate slot. Shards fan out across the
-  // worker pool; each works in its own shard-local score buffer and
-  // writes only its own candidate slots.
-  const std::size_t n_sh = shards_.size();
-  std::vector<TopK> cand(n_sh * batch * k);
-  std::vector<std::uint32_t> cand_n(n_sh * batch, 0);
-  util::parallel_for(
-      0, n_sh,
-      [&](std::size_t s) {
-        const obs::ScopedTimer scan_timer(shard_scan_hist());
-        const Shard sh = shards_[s];
-        const std::size_t rows = sh.end - sh.begin;
-        std::uint64_t pruned = 0;
-        // Shard-local scores, O(B·C/S) — the full [B, C] logit matrix is
-        // never materialized. Zeroed: gemm accumulates.
-        std::vector<float> cos(batch * rows, 0.0f);
-        tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, rows, d, E, d,
-                                P + sh.begin * d, d, cos.data(), rows);
-        // Finalize the buffer to logits in place — fl(s·cos), then the
-        // calibrated-stacking handicap on seen rows — so the selection
-        // loop compares exactly the values the flat penalized
-        // score_float path materializes.
-        for (std::size_t b = 0; b < batch; ++b) {
-          float* row = cos.data() + b * rows;
-          for (std::size_t i = 0; i < rows; ++i) row[i] = scale * row[i];
-          if (penalized) {
-            const float* adj = penalty->row_penalty.data() + sh.begin;
-            for (std::size_t i = 0; i < rows; ++i) row[i] -= adj[i];
-          }
-        }
-        for (std::size_t b = 0; b < batch; ++b) {
-          const float* row = cos.data() + b * rows;
-          BoundedTopK local(cand.data() + (s * batch + b) * k, k);
-          std::size_t i = 0;
-          for (; i + kSelectBlock <= rows; i += kSelectBlock) {
-            const float cut = local.cutoff_score();
-            std::uint32_t any = 0;
-            for (std::size_t j = 0; j < kSelectBlock; ++j)
-              any |= row[i + j] >= cut ? 1u : 0u;
-            if (!any) {
-              pruned += kSelectBlock;
-              continue;
-            }
-            for (std::size_t j = 0; j < kSelectBlock; ++j)
-              local.offer(TopK{sh.begin + i + j, row[i + j]});
-          }
-          for (; i < rows; ++i) local.offer(TopK{sh.begin + i, row[i]});
-          cand_n[s * batch + b] = static_cast<std::uint32_t>(local.size());
-        }
-        counters_[s].scans.fetch_add(batch, std::memory_order_relaxed);
-        counters_[s].rows_swept.fetch_add(batch * rows, std::memory_order_relaxed);
-        counters_[s].rows_pruned.fetch_add(pruned, std::memory_order_relaxed);
-        rows_swept_total().add(batch * rows);
-        rows_pruned_total().add(pruned);
-      },
-      /*grain=*/1);
-
-  return gather(batch, k, cand, cand_n);
+  // Per shard: one GEMM over its row range of the normalized prototype
+  // matrix (the rows are contiguous, so the shard is a pointer offset, not
+  // a copy) into shard-local scores, O(B·C/S) — the full [B, C] logit
+  // matrix is never materialized.
+  const auto scan = [&](std::size_t, std::size_t begin, std::size_t rows, TopK* slots,
+                        std::uint32_t* counts) {
+    std::vector<float> cos(batch * rows, 0.0f);  // zeroed: gemm accumulates
+    tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, batch, rows, d, E, d,
+                            P + begin * d, d, cos.data(), rows);
+    std::uint64_t pruned = 0;
+    for (std::size_t b = 0; b < batch; ++b) {
+      // Finish the row to logits in place — fl(s·cos), then the
+      // calibrated-stacking handicap on seen rows — so selection compares
+      // exactly the values the flat penalized score_float materializes.
+      float* row = cos.data() + b * rows;
+      for (std::size_t i = 0; i < rows; ++i) row[i] = scale * row[i];
+      if (adj)
+        for (std::size_t i = 0; i < rows; ++i) row[i] -= adj[begin + i];
+      BoundedTopK heap(slots + b * k, k);
+      pruned += select_float(row, rows, begin, heap);
+      counts[b] = static_cast<std::uint32_t>(heap.size());
+    }
+    return pruned;
+  };
+  return scatter_gather(batch, k, scan);
 }
 
 std::vector<std::vector<TopK>> ShardedPrototypeStore::topk_binary(
     const tensor::Tensor& embeddings, std::size_t k, const SeenPenalty* penalty) const {
-  check_embeddings(embeddings, base_->dim(), "topk_binary");
+  detail::check_embeddings(embeddings, base_->dim(), "ShardedPrototypeStore::topk_binary");
   const std::size_t batch = embeddings.size(0);
   if (k == 0) return std::vector<std::vector<TopK>>(batch);
-  const bool penalized = penalty && penalty->active();
 
   // Encode every query once, up front, into one contiguous packed buffer
   // (the query-blocked kernel reads them side by side).
   const std::size_t wpr = base_->words_per_row();
   const std::vector<std::uint64_t> qwords = base_->encode_queries(embeddings);
-
   const std::uint64_t* packed = base_->packed_data();
-  const float scale = base_->scale();
-  const float inv_d = 1.0f / static_cast<float>(base_->code_bits());
+  const BinaryScoreRule rule(base_->scale(), base_->code_bits(), penalty);
 
-  // Scatter: each shard sweeps its (cache-resident) word range once for
-  // the whole query batch — hamming_many_packed_multi loads every
-  // prototype row once per 4-query block — then folds the shard's distance
-  // buffer into per-query candidate slots. Selection compares in the same
-  // scale·(1 − 2h/D) float domain score_binary materializes, so gathered
-  // scores are bit-identical to the flat path.
-  const std::size_t n_sh = shards_.size();
-  std::vector<TopK> cand(n_sh * batch * k);
-  std::vector<std::uint32_t> cand_n(n_sh * batch, 0);
-  // Integer-domain selection is order-identical to the float logits while
-  // distinct Hamming counts cannot round to the same score (see
-  // BoundedTopKHamming); pathological widths take the float-domain loop.
-  // A calibrated-stacking penalty joins the integer domain only when it is
-  // an exact Hamming offset (SeenPenalty::integer_exact, which also
-  // guarantees h + Δ stays inside the < 2²⁴ float-exact range); any other
-  // handicap forces the float-domain loop with subtract-form scores.
-  const bool integer_select = scale > 0.0f && base_->code_bits() < (std::size_t{1} << 24) &&
-                              (!penalized || penalty->integer_exact);
-  std::vector<std::uint64_t> keys(integer_select ? n_sh * batch * k : 0);
+  // Integer keys need one u64 slot per candidate next to its hit slot.
   // Cross-shard cutoff hints, one per query: the first shard to fill its
   // heap publishes its k-th best key, and every shard scanning that query
   // afterwards starts with that bound already in place (sequential shards
   // on one worker get a near-global cutoff for free; concurrent shards
   // just see a laggier hint — the bound is conservative either way).
+  const std::size_t n_sh = shards_.size();
+  std::vector<std::uint64_t> keys(rule.integer_keys ? n_sh * batch * k : 0);
   std::unique_ptr<std::atomic<std::uint64_t>[]> hints;
-  if (integer_select) {
+  if (rule.integer_keys) {
     hints = std::make_unique<std::atomic<std::uint64_t>[]>(batch);
     for (std::size_t b = 0; b < batch; ++b)
       hints[b].store(~std::uint64_t{0}, std::memory_order_relaxed);
   }
-  util::parallel_for(
-      0, n_sh,
-      [&](std::size_t s) {
-        const obs::ScopedTimer scan_timer(shard_scan_hist());
-        const Shard sh = shards_[s];
-        const std::size_t rows = sh.end - sh.begin;
-        std::uint64_t pruned = 0;
-        // Shard-local distance buffer, O(B·C/S) and for-overwrite (the
-        // kernel fills every slot read back) — the full [B, C] matrix is
-        // never materialized.
-        auto h = std::make_unique_for_overwrite<std::uint32_t[]>(batch * rows);
-        hdc::hamming_many_packed_multi(qwords.data(), batch, packed + sh.begin * wpr, rows,
-                                       wpr, h.get());
-        if (penalized && integer_select) {
-          // Fold the handicap into the Hamming counts up front: seen rows
-          // carry h + Δ from here on, so the key selection, the cross-shard
-          // hints and the final score conversion all see one consistent
-          // integer domain (and the conversion below stays the exact
-          // expression the flat penalized score_binary materializes).
-          const std::uint32_t* off = penalty->row_offset.data() + sh.begin;
-          for (std::size_t b = 0; b < batch; ++b) {
-            std::uint32_t* hb = h.get() + b * rows;
-            for (std::size_t i = 0; i < rows; ++i) hb[i] += off[i];
-          }
-        }
-        const float* adj =
-            penalized && !integer_select ? penalty->row_penalty.data() + sh.begin : nullptr;
-        for (std::size_t b = 0; b < batch; ++b) {
-          const std::uint32_t* hb = h.get() + b * rows;
-          TopK* slot = cand.data() + (s * batch + b) * k;
-          if (integer_select) {
-            BoundedTopKHamming local(keys.data() + (s * batch + b) * k, k,
-                                     hints[b].load(std::memory_order_relaxed));
-            std::size_t i = 0;
-            for (; i + kSelectBlock <= rows; i += kSelectBlock) {
-              const std::uint32_t t = local.threshold();
-              std::uint32_t any = 0;
-              for (std::size_t j = 0; j < kSelectBlock; ++j)
-                any |= hb[i + j] <= t ? 1u : 0u;
-              if (!any) {
-                pruned += kSelectBlock;
-                continue;
-              }
-              for (std::size_t j = 0; j < kSelectBlock; ++j)
-                local.offer(hb[i + j], sh.begin + i + j);
-            }
-            for (; i < rows; ++i) local.offer(hb[i], sh.begin + i);
-            // Publish this shard's cutoff if it tightens the hint.
-            std::uint64_t cut = local.cutoff();
-            std::uint64_t seen = hints[b].load(std::memory_order_relaxed);
-            while (cut < seen &&
-                   !hints[b].compare_exchange_weak(seen, cut, std::memory_order_relaxed)) {
-            }
-            const std::uint64_t* kept = keys.data() + (s * batch + b) * k;
-            for (std::size_t i = 0; i < local.size(); ++i) {
-              const auto hv = static_cast<float>(kept[i] >> 32);
-              slot[i] = TopK{static_cast<std::size_t>(kept[i] & 0xffffffffu),
-                             scale * (1.0f - 2.0f * hv * inv_d)};
-            }
-            cand_n[s * batch + b] = static_cast<std::uint32_t>(local.size());
-          } else {
-            BoundedTopK local(slot, k);
-            if (adj) {
-              for (std::size_t i = 0; i < rows; ++i)
-                local.offer(
-                    TopK{sh.begin + i,
-                         scale * (1.0f - 2.0f * static_cast<float>(hb[i]) * inv_d) - adj[i]});
-            } else {
-              for (std::size_t i = 0; i < rows; ++i)
-                local.offer(TopK{sh.begin + i,
-                                 scale * (1.0f - 2.0f * static_cast<float>(hb[i]) * inv_d)});
-            }
-            cand_n[s * batch + b] = static_cast<std::uint32_t>(local.size());
-          }
-        }
-        counters_[s].scans.fetch_add(batch, std::memory_order_relaxed);
-        counters_[s].rows_swept.fetch_add(batch * rows, std::memory_order_relaxed);
-        counters_[s].rows_pruned.fetch_add(pruned, std::memory_order_relaxed);
-        rows_swept_total().add(batch * rows);
-        rows_pruned_total().add(pruned);
-      },
-      /*grain=*/1);
 
-  return gather(batch, k, cand, cand_n);
+  // Per shard: one sweep of its (cache-resident) word range for the whole
+  // query batch — hamming_many_packed_multi loads every prototype row once
+  // per 4-query block — into a shard-local distance buffer, O(B·C/S) and
+  // for-overwrite (the kernel fills every slot read back).
+  const auto scan = [&](std::size_t s, std::size_t begin, std::size_t rows, TopK* slots,
+                        std::uint32_t* counts) {
+    auto h = std::make_unique_for_overwrite<std::uint32_t[]>(batch * rows);
+    hdc::hamming_many_packed_multi(qwords.data(), batch, packed + begin * wpr, rows, wpr,
+                                   h.get());
+    if (rule.row_offset) {
+      // Fold the handicap into the Hamming counts up front: seen rows carry
+      // h + Δ from here on, so the key selection, the cross-shard hints and
+      // the score conversion all see one integer domain.
+      const std::uint32_t* off = rule.row_offset + begin;
+      for (std::size_t b = 0; b < batch; ++b) {
+        std::uint32_t* hb = h.get() + b * rows;
+        for (std::size_t i = 0; i < rows; ++i) hb[i] += off[i];
+      }
+    }
+    std::uint64_t pruned = 0;
+    if (rule.integer_keys) {
+      for (std::size_t b = 0; b < batch; ++b) {
+        std::uint64_t* kept = keys.data() + (s * batch + b) * k;
+        BoundedTopKHamming heap(kept, k, hints[b].load(std::memory_order_relaxed));
+        pruned += select_hamming(h.get() + b * rows, rows, begin, heap);
+        // Publish this shard's cutoff if it tightens the hint.
+        const std::uint64_t cut = heap.cutoff();
+        std::uint64_t seen = hints[b].load(std::memory_order_relaxed);
+        while (cut < seen &&
+               !hints[b].compare_exchange_weak(seen, cut, std::memory_order_relaxed)) {
+        }
+        // Scores are converted only for the ≤ k kept candidates.
+        for (std::size_t i = 0; i < heap.size(); ++i) slots[b * k + i] = rule.hit(kept[i]);
+        counts[b] = static_cast<std::uint32_t>(heap.size());
+      }
+      return pruned;
+    }
+    // Float domain — a subtract-form GZSL handicap (a calibrated penalty
+    // off the Hamming grid, edge-hd's case), a non-positive scale or
+    // ≥ 2²⁴-bit codes: finish each query's counts to scores and select
+    // through the float path's block-skip loop.
+    std::vector<float> logits(rows);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const std::uint32_t* hb = h.get() + b * rows;
+      for (std::size_t i = 0; i < rows; ++i) logits[i] = rule.score(hb[i], begin + i);
+      BoundedTopK heap(slots + b * k, k);
+      pruned += select_float(logits.data(), rows, begin, heap);
+      counts[b] = static_cast<std::uint32_t>(heap.size());
+    }
+    return pruned;
+  };
+  return scatter_gather(batch, k, scan);
 }
 
 std::vector<ShardedPrototypeStore::ShardInfo> ShardedPrototypeStore::shard_stats() const {

@@ -21,6 +21,18 @@
 //   gather   the S candidate heaps (≤ S·k entries) are merged and the
 //            global top-k is cut, ordered by (score desc, label asc).
 //
+// Both scoring paths run through one scatter/gather and differ only in the
+// per-shard scan. Selection runs in one of two domains:
+//   integer  the binary path, wherever BinaryScoreRule::integer_keys holds
+//            (topk_select.hpp): packed (h << 32) | label keys, a GZSL
+//            handicap folded into h when it is an exact Hamming offset,
+//            and cross-shard cutoff hints;
+//   float    the float path, and the binary path when a subtract-form
+//            handicap breaks the integer order — a calibrated GZSL penalty
+//            lands just off the Hamming grid, so every edge-hd request
+//            takes this branch — or for non-positive scales and ≥ 2²⁴-bit
+//            codes. Both paths share the one block-skip loop here.
+//
 // Shards fan out across util::parallel_for workers, so on multi-core
 // serving hosts the scan parallelizes across shards; on one core the win
 // is still large and architectural — the shard is the cache tile (its
@@ -91,8 +103,9 @@ class ShardedPrototypeStore {
   /// gathered candidates. Same ordering contract as topk_float. With a
   /// `penalty` whose handicap is integer_exact, seen rows select on
   /// h + offset — still pure u64-key compares, still exact vs. the flat
-  /// score_binary(emb, penalty) argsort; otherwise the scan falls back to
-  /// float-domain selection with the same subtract-form scores.
+  /// score_binary(emb, penalty) argsort; any other handicap (a calibrated
+  /// penalty off the Hamming grid) selects in the float domain, through
+  /// topk_float's block-skip loop, with the same subtract-form scores.
   std::vector<std::vector<TopK>> topk_binary(const tensor::Tensor& embeddings, std::size_t k,
                                              const SeenPenalty* penalty = nullptr) const;
 
@@ -115,11 +128,15 @@ class ShardedPrototypeStore {
     std::size_t end = 0;
   };
 
-  /// Merge the flat (shard × query × k) candidate slots the scatter filled
-  /// into per-query globally ordered top-k lists.
-  std::vector<std::vector<TopK>> gather(std::size_t batch, std::size_t k,
-                                        const std::vector<TopK>& cand,
-                                        const std::vector<std::uint32_t>& cand_n) const;
+  /// The scatter/gather both scans share: runs
+  /// `scan_shard(s, begin, rows, slots, counts)` for every shard across the
+  /// worker pool — it fills query b's ≤ k candidates into slots[b·k, ...)
+  /// and their number into counts[b], and returns the rows its block skip
+  /// pruned — keeps the shard's telemetry, then merges the candidates into
+  /// per-query globally ordered top-k lists.
+  template <typename ScanShard>
+  std::vector<std::vector<TopK>> scatter_gather(std::size_t batch, std::size_t k,
+                                                ScanShard&& scan_shard) const;
   /// Telemetry (mutable: scoring is logically const). A few relaxed
   /// fetch_adds per (batch, shard) scatter scan.
   struct Counters {

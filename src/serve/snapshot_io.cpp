@@ -7,6 +7,7 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -324,7 +325,15 @@ std::shared_ptr<ModelSnapshot> read_body(std::istream& is, const Header& h) {
 
   const auto expansion = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "expansion"));
   const auto lsh_seed = read_pod<std::uint64_t>(is, "lsh seed");
+  // The content checksum covers neither the store scale nor the v6
+  // calibrated penalty, so both are range-checked as they are read: every
+  // writer stores s = exp(log_scale) > 0 (see SimilarityKernel) and a
+  // finite penalty. A NaN or infinite value would answer with NaN scores,
+  // a non-positive scale would rank the farthest classes first.
   const float store_scale = read_pod<float>(is, "store scale");
+  if (!std::isfinite(store_scale) || store_scale <= 0.0f)
+    throw std::runtime_error("snapshot_io: corrupt record 'store scale': " +
+                             std::to_string(store_scale) + " is not a positive finite scale");
   tensor::Tensor normalized = read_tensor(is, "normalized prototype rows");
   if (normalized.dim() != 2 || normalized.size(0) == 0)
     throw std::runtime_error("snapshot_io: normalized prototype rows are " +
@@ -358,6 +367,9 @@ std::shared_ptr<ModelSnapshot> read_body(std::istream& is, const Header& h) {
   if (h.version >= 6) {
     store_version = read_pod<std::uint64_t>(is, "store version");
     calibrated_penalty = read_pod<float>(is, "calibrated penalty");
+    if (!std::isfinite(calibrated_penalty))
+      throw std::runtime_error("snapshot_io: corrupt record 'calibrated penalty': " +
+                               std::to_string(calibrated_penalty) + " is not finite");
     stored_checksum = read_pod<std::uint64_t>(is, "content checksum");
   }
   read_end_marker(is);
@@ -701,15 +713,13 @@ VersionParts apply_delta(const LineageHead& head, const SnapshotDelta& delta,
     throw std::runtime_error(context + ": content checksum mismatch after append");
 
   std::vector<std::uint32_t> assignments;
-  if (head.ivf_centroids) {
+  if (head.ivf_centroids && delta.has_ivf) {
     assignments.reserve(rows + n);
     assignments.assign(head.ivf_assignments->begin(), head.ivf_assignments->end());
-    if (delta.has_ivf)
-      assignments.insert(assignments.end(), delta.ivf_assignments.begin(),
-                         delta.ivf_assignments.end());
-    else
-      assignments = extend_ivf_assignments(*head.ivf_centroids, std::move(assignments), store,
-                                           rows);
+    assignments.insert(assignments.end(), delta.ivf_assignments.begin(),
+                       delta.ivf_assignments.end());
+  } else if (head.ivf_centroids) {
+    assignments = extend_ivf_assignments(*head.ivf_centroids, *head.ivf_assignments, store, rows);
   }
   return VersionParts{std::move(store), std::move(mask),
                       tensor::concat_rows(head.class_attributes, delta.attributes),

@@ -66,14 +66,17 @@ std::vector<std::uint8_t> extend_seen_mask(const std::vector<std::uint8_t>& base
 }
 
 std::vector<std::uint32_t> extend_ivf_assignments(const tensor::Tensor& centroids,
-                                                  std::vector<std::uint32_t> assignments,
+                                                  const std::vector<std::uint32_t>& assignments,
                                                   const PrototypeStore& grown,
                                                   std::size_t first_new_row) {
   const std::size_t cc = centroids.size(0);
   const std::size_t d = centroids.size(1);
   const float* cent = centroids.data();
-  std::vector<std::uint32_t> out = std::move(assignments);
+  // One allocation and one copy of the base vector: it is the live
+  // version's, O(C) at catalog scale.
+  std::vector<std::uint32_t> out;
   out.reserve(grown.n_classes());
+  out.assign(assignments.begin(), assignments.end());
   for (std::size_t r = first_new_row; r < grown.n_classes(); ++r) {
     const float* row = grown.float_rows() + r * d;
     std::uint32_t best = 0;

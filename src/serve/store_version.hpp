@@ -137,9 +137,10 @@ std::vector<std::uint8_t> extend_seen_mask(const std::vector<std::uint8_t>& base
 /// centroid (max float dot over the L2-normalized rows — the k-means
 /// metric the index was built with; ties → lower centroid) and appended to
 /// `assignments`. No re-clustering: appends only extend the vector, so a
-/// persisted delta's assignments reproduce exactly.
+/// persisted delta's assignments reproduce exactly. The result is built
+/// with one allocation; `assignments` (the live version's) is only read.
 std::vector<std::uint32_t> extend_ivf_assignments(const tensor::Tensor& centroids,
-                                                  std::vector<std::uint32_t> assignments,
+                                                  const std::vector<std::uint32_t>& assignments,
                                                   const PrototypeStore& grown,
                                                   std::size_t first_new_row);
 

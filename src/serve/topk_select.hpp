@@ -1,22 +1,26 @@
-// Shared k-bounded selection primitives for prototype retrieval.
+// The one score rule and the k-bounded selection primitives every top-k
+// path shares: the flat scans (PrototypeStore::score_binary), the sharded
+// scatter/gather (sharded_store.cpp) and the IVF pipeline (ann_store.cpp).
 //
-// Extracted from the sharded scatter/gather scan (sharded_store.cpp) so the
-// approximate retrieval tier (ann_store.hpp) selects candidates with the
-// *identical* machinery — same ordering, same block-skip thresholds, same
-// float/integer domains. That identity is what makes the "nprobe == C and
-// unbounded rerank degenerates bit-identically to the exact path" property
-// provable instead of merely plausible (tests/test_ann_retrieval.cpp).
+// BinaryScoreRule is the only place that knows how a Hamming count becomes
+// a logit and when integer (h, label) keys order exactly like those
+// logits; the selection heaps below are the only place that knows the
+// retrieval order and its block-skip thresholds. Because every path goes
+// through them, the "nprobe == C and unbounded rerank degenerates
+// bit-identically to the exact path" property holds by construction
+// (tests/test_ann_retrieval.cpp asserts it).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
-namespace hdczsc::serve {
+#include "serve/sharded_store.hpp"
+#include "tensor/tensor.hpp"
 
-struct TopK;  // serve/sharded_store.hpp
-
-namespace detail {
+namespace hdczsc::serve::detail {
 
 /// The one retrieval order both scoring paths and all store layouts share:
 /// score descending, label ascending on exact score ties. The flat
@@ -27,6 +31,71 @@ template <typename Hit>
 inline bool better(const Hit& a, const Hit& b) {
   return a.score > b.score || (a.score == b.score && a.label < b.label);
 }
+
+/// The `[B, d]` embedding check every scan runs before touching a row;
+/// `who` names the caller in the message ("IvfIndex::topk_float").
+inline void check_embeddings(const tensor::Tensor& embeddings, std::size_t dim,
+                             const char* who) {
+  if (embeddings.dim() != 2 || embeddings.size(1) != dim)
+    throw std::invalid_argument(std::string(who) + ": need [B, " + std::to_string(dim) +
+                                "] embeddings, got " + tensor::shape_str(embeddings.shape()));
+}
+
+/// How a Hamming count becomes a logit: s · (1 − 2h/D), with a resolved
+/// GZSL handicap (SeenPenalty) in one of two forms —
+///   folded      an integer-exact handicap adds Δ to a seen row's count
+///               before the conversion (`row_offset`; the caller folds);
+///   subtracted  any other handicap is subtracted from the converted logit
+///               (`row_penalty`; score() applies it).
+///
+/// `integer_keys` says whether (h asc, label asc) keys order exactly like
+/// (score desc, label asc). They do iff distinct counts never round to the
+/// same logit and no subtract-form handicap reorders them: s · (1 − 2h/D)
+/// is weakly decreasing in h under float rounding (for s > 0), and
+/// strictly so while 1/D stays above float resolution — i.e. for D < 2²⁴
+/// code bits, far beyond any practical code width (an integer-exact Δ also
+/// keeps h + Δ below 2²⁴, see PrototypeStore::resolve_penalty). Wider
+/// codes, non-positive scales and subtract-form handicaps select in the
+/// float domain.
+struct BinaryScoreRule {
+  /// What a handicap that does not fold exactly becomes: kSubtract scores
+  /// it in subtract form (every path whose scores are final); kIgnore
+  /// leaves it out, so the scan ranks raw Hamming (the cascade's
+  /// prefilter, whose float rerank applies the handicap).
+  enum class Inexact : unsigned char { kSubtract, kIgnore };
+
+  BinaryScoreRule(float scale, std::size_t code_bits, const SeenPenalty* penalty,
+                  Inexact inexact = Inexact::kSubtract)
+      : scale(scale), inv_d(1.0f / static_cast<float>(code_bits)) {
+    if (penalty && penalty->active()) {
+      if (penalty->integer_exact)
+        row_offset = penalty->row_offset.data();
+      else if (inexact == Inexact::kSubtract)
+        row_penalty = penalty->row_penalty.data();
+    }
+    integer_keys = scale > 0.0f && code_bits < (std::size_t{1} << 24) && !row_penalty;
+  }
+
+  /// The binary logit of a (handicap-folded) Hamming count.
+  float logit(std::uint32_t h) const {
+    return scale * (1.0f - 2.0f * static_cast<float>(h) * inv_d);
+  }
+  /// Final score of prototype row `row` at folded count `h`.
+  float score(std::uint32_t h, std::size_t row) const {
+    return row_penalty ? logit(h) - row_penalty[row] : logit(h);
+  }
+  /// The hit an integer key (see BoundedTopKHamming) stands for.
+  TopK hit(std::uint64_t key) const {
+    return TopK{static_cast<std::size_t>(key & 0xffffffffu),
+                logit(static_cast<std::uint32_t>(key >> 32))};
+  }
+
+  float scale;
+  float inv_d;
+  const std::uint32_t* row_offset = nullptr;  ///< per-row Δ to fold into h, or null
+  const float* row_penalty = nullptr;         ///< per-row subtract-form handicap, or null
+  bool integer_keys = false;
+};
 
 /// Rows per block-skip test in the selection loops: once a cutoff is
 /// known, a whole block is skipped with one vectorizable compare-reduce
@@ -72,14 +141,9 @@ class BoundedTopK {
 /// Integer-domain variant of BoundedTopK for the binary path: candidates
 /// are packed (hamming << 32) | label keys, so the retrieval order
 /// (score desc, label asc) becomes a single u64 compare (h asc, label asc)
-/// and the fast path is one predictable compare per scanned row.
-///
-/// Exactness precondition (checked by the caller): the two orders coincide
-/// iff distinct Hamming counts never round to the same float logit.
-/// score = scale·(1 − 2h/D) is weakly decreasing in h under float rounding
-/// (for scale > 0), and strictly so while 1/D stays above float resolution
-/// — i.e. for D < 2^24 code bits, far beyond any practical code width.
-/// Wider codes (or non-positive scales) take the float-domain path.
+/// and the fast path is one predictable compare per scanned row. Valid
+/// only where BinaryScoreRule::integer_keys holds; BinaryScoreRule::hit
+/// turns a kept key back into its (label, score) hit.
 class BoundedTopKHamming {
  public:
   /// `bound` is a global-cutoff hint: a key value known to have at least k
@@ -126,5 +190,4 @@ class BoundedTopKHamming {
   std::uint64_t bound_;
 };
 
-}  // namespace detail
-}  // namespace hdczsc::serve
+}  // namespace hdczsc::serve::detail

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -211,6 +212,29 @@ TEST(GzslTopk, NonRepresentablePenaltyFallsBackToFloatAndStaysExact) {
     const ShardedPrototypeStore sharded(store, shards);
     expect_identical(sharded.topk_binary(emb, 8, &p), want,
                      "fallback binary S=" + std::to_string(shards));
+  }
+
+  // edge-hd's regime: 150 seen + 50 unseen classes, d = 256 at expansion 8
+  // (D = 2048), and a penalty a few ulps past s·2Δ/D for a whole Δ — what
+  // calibrate_seen_penalty returns, a value just past a decision margin.
+  // Seen logits then land within a few ulps of unseen ones, and every query
+  // takes the float-domain branch and its block-skip loop, as every
+  // edge-hd request does.
+  const float s = 10.8225f;
+  const PrototypeStore edge = make_store(200, 256, /*expansion=*/8, 41, s);
+  std::vector<std::uint8_t> seen(200, 0);
+  std::fill(seen.begin(), seen.begin() + 150, 1);
+  float calibrated = s * 2.0f * 182.0f / 2048.0f;
+  for (int ulp = 0; ulp < 2; ++ulp) calibrated = std::nextafter(calibrated, 1e9f);
+  const SeenPenalty pe = edge.resolve_penalty(calibrated, seen);
+  ASSERT_FALSE(pe.integer_exact);
+  ASSERT_TRUE(pe.active());
+  const Tensor edge_emb = Tensor::randn({8, 256}, rng);
+  const auto edge_want = flat_topk(edge.score_binary(edge_emb, &pe), 5);
+  for (std::size_t shards : {1u, 3u}) {
+    const ShardedPrototypeStore sharded(edge, shards);
+    expect_identical(sharded.topk_binary(edge_emb, 5, &pe), edge_want,
+                     "calibrated penalty S=" + std::to_string(shards));
   }
 }
 

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -726,6 +727,81 @@ TEST(SnapshotIO, CorruptPrototypePlanesFailTheContentChecksum) {
   write_file(path, bytes);
   registry.load_file("m", path);
   EXPECT_EQ(registry.engine("m")->pin()->content_checksum, snap.content_checksum());
+}
+
+TEST(SnapshotIO, UncheckedFloatRecordsRejectedByName) {
+  // The content checksum covers neither the store scale nor the v6
+  // calibrated penalty. Out of range, either one would load and serve
+  // garbage: a NaN or infinite value answers with NaN scores, a
+  // non-positive scale ranks the farthest classes first (or ties them
+  // all). Each must be rejected naming its record — by the loader, by
+  // inspect, and by the registry, which must register nothing.
+  Tiny t = make_tiny(83, "hdc", /*n_classes=*/7);
+  serve::ModelSnapshot snap(t.model, t.a, /*binary_expansion=*/1, /*preferred_shards=*/1,
+                            {1, 1, 1, 1, 0, 0, 0});
+  snap.set_calibrated_penalty(0.25f);
+  std::stringstream full;
+  serve::save_snapshot(full, snap);
+  const std::string bytes = full.str();
+
+  // Tail layout (fixed widths, back to front): "PANS" | u64 checksum |
+  // f32 penalty | u64 store version | has_ivf u8 | has_quant u8 | 1 mask
+  // word | n_seen u64 | shards u64 | 7 packed words | packed count u64 |
+  // 7x64 floats | 28-byte tensor header | f32 store scale.
+  const std::size_t penalty_off = bytes.size() - 4 - 8 - 4;
+  const std::size_t float_off = bytes.size() - 4 - 20 - 1 - 1 - 8 - 8 - 8 - 7 * 8 - 8 -
+                                7 * 64 * sizeof(float);
+  const std::size_t scale_off = float_off - 28 - sizeof(float);
+  float stored = 0.0f;
+  std::memcpy(&stored, bytes.data() + penalty_off, sizeof(float));
+  ASSERT_EQ(stored, 0.25f) << "tail-layout arithmetic drifted from the format";
+  std::memcpy(&stored, bytes.data() + scale_off, sizeof(float));
+  ASSERT_EQ(stored, snap.prototypes().scale()) << "tail-layout arithmetic drifted";
+
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  struct Case {
+    const char* record;
+    std::size_t offset;
+    float value;
+  };
+  const Case cases[] = {
+      {"calibrated penalty", penalty_off, nan}, {"calibrated penalty", penalty_off, inf},
+      {"calibrated penalty", penalty_off, -inf}, {"store scale", scale_off, nan},
+      {"store scale", scale_off, inf},           {"store scale", scale_off, 0.0f},
+      {"store scale", scale_off, -10.82f},
+  };
+  const std::string path = temp_path("unchecked_floats.hdcsnap");
+  serve::ModelRegistry registry(fast_cfg());
+  for (const Case& c : cases) {
+    std::string bad = bytes;
+    std::memcpy(bad.data() + c.offset, &c.value, sizeof(float));
+    const std::string what = std::string(c.record) + " = " + std::to_string(c.value);
+    const std::string want = std::string("corrupt record '") + c.record + "'";
+    std::istringstream in(bad);
+    try {
+      serve::load_snapshot(in);
+      ADD_FAILURE() << what << ": loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << what << ": " << e.what();
+    }
+    std::istringstream in2(bad);
+    try {
+      serve::inspect_snapshot(in2);
+      ADD_FAILURE() << what << ": inspected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << what << ": " << e.what();
+    }
+    write_file(path, bad);
+    EXPECT_THROW(registry.load_file("m", path), std::runtime_error) << what;
+    EXPECT_FALSE(registry.has("m")) << what;
+  }
+
+  // The untouched bytes load with both values intact.
+  std::istringstream good(bytes);
+  const auto loaded = serve::load_snapshot(good);
+  EXPECT_EQ(loaded->calibrated_penalty(), 0.25f);
+  EXPECT_EQ(loaded->scale(), snap.prototypes().scale());
 }
 
 TEST(ModelRegistry, RoutesRequestsByKey) {
