@@ -162,33 +162,16 @@ int run(int argc, char** argv) {
 
   const std::size_t n_models =
       static_cast<std::size_t>(std::max<long>(1, args.get_int("models", 1)));
-  serve::ScoringMode mode{};
-  serve::Precision precision{};
-  nn::CalibMethod calib{};
-  serve::RetrievalMode retrieval{};
-  try {
-    mode = serve::scoring_mode_from_name(args.get_str("mode", "binary"));
-    precision = serve::precision_from_name(args.get_str("precision", "float32"));
-    calib = nn::calib_method_from_name(args.get_str("calib-method", "minmax"));
-    retrieval = serve::retrieval_mode_from_name(args.get_str("retrieval", "exact"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "netserve: %s\n", e.what());
-    return 2;
-  }
+  const auto flags = examples::parse_serving_flags(args, "netserve");
+  if (!flags) return 2;
+  const auto [mode, precision, calib, retrieval] = *flags;
 
   // -- 1. obtain a snapshot: load the artifact, or train and freeze ----------
   std::shared_ptr<const serve::ModelSnapshot> snapshot;
   if (args.has("snapshot")) {
     const std::string path = args.get_str("snapshot", "");
-    auto loaded = serve::load_snapshot_file(path);
-    if (precision == serve::Precision::kInt8 && !loaded->has_quantized()) {
-      std::fprintf(stderr,
-                   "netserve: --precision=int8 but %s carries no quantization records "
-                   "(produce a v4 artifact with snapshot_tool --quantize)\n",
-                   path.c_str());
-      return 2;
-    }
-    snapshot = loaded;
+    snapshot = examples::load_serving_snapshot(path, precision, "netserve");
+    if (!snapshot) return 2;
     std::printf("netserve: cold-started from %s (%zu classes, d=%zu%s)\n", path.c_str(),
                 snapshot->n_classes(), snapshot->dim(),
                 snapshot->has_quantized() ? ", int8-capable" : "");
@@ -219,15 +202,8 @@ int run(int argc, char** argv) {
   }
 
   // -- 2. registry + network front-end ---------------------------------------
-  serve::ServerConfig scfg;
-  scfg.n_workers = static_cast<std::size_t>(args.get_int("workers", 1));
-  scfg.batch.max_batch = static_cast<std::size_t>(args.get_int("batch", 8));
-  scfg.batch.max_delay_ms = args.get_double("delay-ms", 2.0);
+  serve::ServerConfig scfg = examples::serving_config(args, *flags);
   scfg.batch.max_queue_depth = static_cast<std::size_t>(args.get_int("queue-depth", 4096));
-  scfg.backbone_precision = precision;
-  scfg.retrieval = retrieval;
-  scfg.nprobe = static_cast<std::size_t>(args.get_int("nprobe", 0));
-  scfg.rerank = static_cast<std::size_t>(args.get_int("rerank", 4));
   if (retrieval != serve::RetrievalMode::kExact)
     std::printf("netserve: %s retrieval (%s IVF index, nprobe=%zu, rerank=%zu)\n",
                 serve::retrieval_mode_name(retrieval).c_str(),

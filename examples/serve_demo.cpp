@@ -95,19 +95,9 @@ int run(int argc, char** argv) {
   const double stats_interval = args.get_double("stats-interval", 0.0);
   const std::string metrics_out = args.get_str("metrics-out", "");
   if (args.has("profile")) obs::set_profiling_enabled(true);
-  serve::ScoringMode mode{};
-  serve::Precision precision{};
-  nn::CalibMethod calib{};
-  serve::RetrievalMode retrieval{};
-  try {
-    mode = serve::scoring_mode_from_name(args.get_str("mode", "binary"));
-    precision = serve::precision_from_name(args.get_str("precision", "float32"));
-    calib = nn::calib_method_from_name(args.get_str("calib-method", "minmax"));
-    retrieval = serve::retrieval_mode_from_name(args.get_str("retrieval", "exact"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "serve_demo: %s\n", e.what());
-    return 2;
-  }
+  const auto flags = examples::parse_serving_flags(args, "serve_demo");
+  if (!flags) return 2;
+  const auto [mode, precision, calib, retrieval] = *flags;
 
   // -- 1. obtain a snapshot: load the artifact, or train and freeze ----------
   std::shared_ptr<const serve::ModelSnapshot> snapshot;
@@ -115,14 +105,8 @@ int run(int argc, char** argv) {
   std::vector<std::size_t> labels;   // ground truth (empty in --snapshot mode)
   if (args.has("snapshot")) {
     const std::string path = args.get_str("snapshot", "");
-    snapshot = serve::load_snapshot_file(path);
-    if (precision == serve::Precision::kInt8 && !snapshot->has_quantized()) {
-      std::fprintf(stderr,
-                   "serve_demo: --precision=int8 but %s carries no quantization records "
-                   "(produce a v4 artifact with snapshot_tool --quantize)\n",
-                   path.c_str());
-      return 2;
-    }
+    snapshot = examples::load_serving_snapshot(path, precision, "serve_demo");
+    if (!snapshot) return 2;
     std::printf("serve_demo: cold-started from %s (%zu classes, d=%zu, x%zu codes%s) — "
                 "no retraining\n",
                 path.c_str(), snapshot->n_classes(), snapshot->dim(),
@@ -193,17 +177,10 @@ int run(int argc, char** argv) {
   mem.print();
 
   // -- 2. host it in the registry (N aliases = N independent model slots) ----
-  serve::ServerConfig scfg;
-  scfg.n_workers = static_cast<std::size_t>(args.get_int("workers", 1));
-  scfg.batch.max_batch = static_cast<std::size_t>(args.get_int("batch", 8));
-  scfg.batch.max_delay_ms = args.get_double("delay-ms", 2.0);
+  serve::ServerConfig scfg = examples::serving_config(args, *flags);
   scfg.batch.max_queue_depth = 4096;
   scfg.n_shards = n_shards;  // 0 = adopt the snapshot's preferred layout
   scfg.seen_penalty = seen_penalty;
-  scfg.backbone_precision = precision;
-  scfg.retrieval = retrieval;
-  scfg.nprobe = static_cast<std::size_t>(args.get_int("nprobe", 0));
-  scfg.rerank = static_cast<std::size_t>(args.get_int("rerank", 4));
   if (retrieval != serve::RetrievalMode::kExact)
     std::printf("serve_demo: %s retrieval (%s IVF index, nprobe=%zu%s)\n",
                 serve::retrieval_mode_name(retrieval).c_str(),
@@ -218,7 +195,9 @@ int run(int argc, char** argv) {
     registry.load(keys.back(), snapshot, mode);
   }
 
-  // Reference decisions for the whole request pool, computed directly.
+  // Reference decisions for the whole request pool, computed directly. A
+  // served answer must match its label and its score: one image's scores
+  // do not depend on the batch it lands in.
   const auto engine0 = registry.engine(keys[0]);
   const auto expected = engine0->classify_batch(images);
 
@@ -266,7 +245,7 @@ int run(int argc, char** argv) {
         for (auto& [i, f] : inflight) {
           const serve::InferResult r = f.get();
           if (!r.ok() || r.topk.empty()) continue;
-          matches[t] += r.top().label == expected[i].label;
+          matches[t] += r.top().label == expected[i].label && r.top().score == expected[i].score;
           if (!labels.empty()) hits[t] += r.top().label == labels[i];
         }
         sent[t] += inflight.size();

@@ -48,9 +48,7 @@ void Linear::freeze_for_serving() {
   if (frozen_for_serving_) return;  // idempotent: a second snapshot of one model writes nothing
   frozen_for_serving_ = true;
   cached_input_ = Tensor();  // no backward from a pre-freeze forward either
-  // Below the naive cutoff matmul_nt takes gemm_naive for small batches,
-  // which a pre-packed product (always blocked) would not reproduce.
-  if (!pack_ && in_ * out_ >= tensor::kGemmNaiveCutoff) pack_ = std::make_shared<ServingPack>();
+  if (!pack_) pack_ = std::make_shared<ServingPack>();
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {

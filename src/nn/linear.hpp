@@ -28,11 +28,12 @@ class Linear : public Layer {
 
   /// Freeze the weights for serving (serve::ModelSnapshot's constructors
   /// call this on the image encoder's projection). From then on a
-  /// train-mode forward throws std::logic_error, and when in·out reaches
-  /// tensor::kGemmNaiveCutoff eval forwards run against W^T packed once,
-  /// on the first of them (concurrent first calls build it once). Unlike
-  /// Layer::set_frozen, which only hides the parameters from optimizers,
-  /// this is permanent: train a separate copy of the model instead.
+  /// train-mode forward throws std::logic_error, and eval forwards run
+  /// against W^T packed once, on the first of them (concurrent first calls
+  /// build it once) — bitwise the unpacked forward, at every batch size.
+  /// Unlike Layer::set_frozen, which only hides the parameters from
+  /// optimizers, this is permanent: train a separate copy of the model
+  /// instead.
   void freeze_for_serving();
   bool frozen_for_serving() const { return frozen_for_serving_; }
 
@@ -47,7 +48,7 @@ class Linear : public Layer {
     std::optional<tensor::PackedB> weight;
   };
   bool frozen_for_serving_ = false;
-  std::shared_ptr<ServingPack> pack_;  // set by freeze_for_serving() when the layer is packable
+  std::shared_ptr<ServingPack> pack_;  // set by freeze_for_serving()
 };
 
 }  // namespace hdczsc::nn

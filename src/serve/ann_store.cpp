@@ -26,6 +26,10 @@ using BoundedTopKFloat = detail::BoundedTopK<TopK>;
 /// enough chunks to balance.
 constexpr std::size_t kAssignChunk = 1024;
 
+/// Candidate rows per float re-score GEMM: bounds the gathered rows to
+/// kRescoreChunk·d floats however many rows a probe covers.
+constexpr std::size_t kRescoreChunk = 512;
+
 /// Automatic early-exit split: score a quarter of the words up front, keep
 /// the early exit off for codes too narrow for a meaningful prefix (the
 /// prune test would cost more than the skipped words).
@@ -196,6 +200,38 @@ RetrievalMode retrieval_mode_from_name(const std::string& name) {
                               "' (expected exact, ivf or cascade)");
 }
 
+void assign_nearest_centroids(const tensor::Tensor& centroids, const float* rows,
+                              const std::size_t* ids, std::size_t n, std::uint32_t* out) {
+  const std::size_t cc = centroids.size(0), d = centroids.size(1);
+  const std::size_t n_chunks = (n + kAssignChunk - 1) / kAssignChunk;
+  util::parallel_for(
+      0, n_chunks,
+      [&](std::size_t ch) {
+        const std::size_t lo = ch * kAssignChunk;
+        const std::size_t cn = std::min(n, lo + kAssignChunk) - lo;
+        std::vector<float> gathered;
+        const float* src = rows + lo * d;
+        if (ids) {
+          gathered.resize(cn * d);
+          for (std::size_t r = 0; r < cn; ++r)
+            std::copy(rows + ids[lo + r] * d, rows + (ids[lo + r] + 1) * d,
+                      gathered.data() + r * d);
+          src = gathered.data();
+        }
+        std::vector<float> dots(cn * cc, 0.0f);
+        tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, cn, cc, d, src, d,
+                                centroids.data(), d, dots.data(), cc);
+        for (std::size_t r = 0; r < cn; ++r) {
+          const float* row = dots.data() + r * cc;
+          std::size_t best = 0;
+          for (std::size_t c = 1; c < cc; ++c)
+            if (row[c] > row[best]) best = c;
+          out[lo + r] = static_cast<std::uint32_t>(best);
+        }
+      },
+      /*grain=*/1);
+}
+
 IvfIndex::IvfIndex(const PrototypeStore& base, std::size_t n_centroids, std::size_t iters,
                    std::uint64_t seed)
     : base_(&base) {
@@ -217,45 +253,6 @@ IvfIndex::IvfIndex(const PrototypeStore& base, std::size_t n_centroids, std::siz
   for (std::size_t c = 0; c < cc; ++c)
     std::copy(P + perm[c] * d, P + (perm[c] + 1) * d, Cm + c * d);
 
-  // Nearest-centroid assignment by chunked GEMM: gather (for sampled ids)
-  // or slice (ids == nullptr: the contiguous range [0, n)) a chunk of
-  // rows, one [chunk, Cc] dot block, argmax per row under (dot desc, id
-  // asc). Centroids are read-only during a pass, so chunks fan out across
-  // the worker pool.
-  const auto assign_rows = [&](const std::size_t* ids, std::size_t n,
-                               std::uint32_t* out_assign) {
-    const std::size_t n_chunks = (n + kAssignChunk - 1) / kAssignChunk;
-    util::parallel_for(
-        0, n_chunks,
-        [&](std::size_t ch) {
-          const std::size_t lo = ch * kAssignChunk;
-          const std::size_t hi = std::min(n, lo + kAssignChunk);
-          const std::size_t cn = hi - lo;
-          std::vector<float> gathered;
-          const float* src;
-          if (ids) {
-            gathered.resize(cn * d);
-            for (std::size_t r = 0; r < cn; ++r)
-              std::copy(P + ids[lo + r] * d, P + (ids[lo + r] + 1) * d,
-                        gathered.data() + r * d);
-            src = gathered.data();
-          } else {
-            src = P + lo * d;
-          }
-          std::vector<float> dots(cn * cc, 0.0f);
-          tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, cn, cc, d, src, d, Cm, d,
-                                  dots.data(), cc);
-          for (std::size_t r = 0; r < cn; ++r) {
-            const float* row = dots.data() + r * cc;
-            std::size_t best = 0;
-            for (std::size_t c = 1; c < cc; ++c)
-              if (row[c] > row[best]) best = c;
-            out_assign[lo + r] = static_cast<std::uint32_t>(best);
-          }
-        },
-        /*grain=*/1);
-  };
-
   // Spherical k-means on a bounded sample (kSamplePerCentroid rows per
   // centroid, FAISS-style): the coarse quantizer needs Voronoi structure,
   // not convergence, and the sample keeps build cost sublinear in C for
@@ -265,7 +262,7 @@ IvfIndex::IvfIndex(const PrototypeStore& base, std::size_t n_centroids, std::siz
   std::vector<double> sums(cc * d);
   std::vector<std::uint32_t> counts(cc);
   for (std::size_t it = 0; it < iters; ++it) {
-    assign_rows(perm.data(), sample_n, sassign.data());
+    assign_nearest_centroids(centroids_, P, perm.data(), sample_n, sassign.data());
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0u);
     for (std::size_t s = 0; s < sample_n; ++s) {
@@ -292,7 +289,7 @@ IvfIndex::IvfIndex(const PrototypeStore& base, std::size_t n_centroids, std::siz
   }
 
   assignments_.resize(rows);
-  assign_rows(nullptr, rows, assignments_.data());
+  assign_nearest_centroids(centroids_, P, nullptr, rows, assignments_.data());
   prefix_words_ = auto_prefix_words(base.words_per_row());
   build_lists();
 }
@@ -507,34 +504,40 @@ std::vector<std::vector<TopK>> IvfIndex::search(const tensor::Tensor& embeddings
           }
         }
 
-        // 3. Score: binary hits are final; otherwise re-score the
-        // candidates with exact float cosine dots, double-accumulated — the
-        // naive GEMM kernel's summation (tensor/gemm.cpp N×T path), so a
-        // full probe reproduces the exact path's scores bit for bit
-        // wherever that kernel runs.
+        // 3. Score: binary hits are final; otherwise the candidate rows are
+        // gathered into one reused buffer, kRescoreChunk at a time, and each
+        // chunk is scored through the exact scans' GEMM and finished as they
+        // finish a score — fl(s·cos), then the seen handicap — so a full
+        // probe reproduces the exact path's scores bit for bit.
         std::uint64_t rescored = 0;
         if (plan == Plan::kBinary) {
           out[b] = std::move(hits);
         } else {
-          const float* erow = e_hat.data() + b * d;
-          std::vector<TopK> slots(kk);
-          BoundedTopKFloat heap(slots.data(), kk);
-          const auto rescore = [&](std::size_t row) {
-            const float* prow = P + row * d;
-            double acc = 0.0;
-            for (std::size_t j = 0; j < d; ++j) acc += erow[j] * prow[j];
-            float s = scale * static_cast<float>(acc);
-            if (adj) s -= adj[row];
-            heap.offer(TopK{row, s});
-          };
+          std::vector<std::size_t> ids;
           if (scan) {
-            for (const TopK& hit : hits) rescore(hit.label);
-            rescored = hits.size();
+            for (const TopK& hit : hits) ids.push_back(hit.label);
           } else {
             for (std::uint32_t c : probes)
-              for (std::size_t i = list_offsets_[c]; i < list_offsets_[c + 1]; ++i)
-                rescore(list_rows_[i]);
-            rescored = total;
+              ids.insert(ids.end(), list_rows_.begin() + list_offsets_[c],
+                         list_rows_.begin() + list_offsets_[c + 1]);
+          }
+          rescored = ids.size();
+          std::vector<TopK> slots(kk);
+          BoundedTopKFloat heap(slots.data(), kk);
+          const std::size_t chunk = std::min(ids.size(), kRescoreChunk);
+          std::vector<float> rows(chunk * d), cos(chunk);
+          for (std::size_t lo = 0; lo < ids.size(); lo += chunk) {
+            const std::size_t n = std::min(chunk, ids.size() - lo);
+            for (std::size_t i = 0; i < n; ++i)
+              std::copy(P + ids[lo + i] * d, P + (ids[lo + i] + 1) * d, rows.data() + i * d);
+            std::fill(cos.begin(), cos.end(), 0.0f);  // gemm accumulates
+            tensor::gemm_accumulate(tensor::Trans::N, tensor::Trans::T, 1, n, d,
+                                    e_hat.data() + b * d, d, rows.data(), d, cos.data(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+              float s = scale * cos[i];
+              if (adj) s -= adj[ids[lo + i]];
+              heap.offer(TopK{ids[lo + i], s});
+            }
           }
           std::vector<TopK>& merged = out[b];
           merged.assign(slots.begin(), slots.begin() + heap.size());

@@ -27,11 +27,11 @@
 //     exact sharded top-k, early exit and all.
 //
 //  3. Binary-prefilter → float-rerank cascade — the top rerank·k binary
-//     candidates from the probed lists are re-scored with exact float
-//     cosine dots (double-accumulated, matching the naive GEMM kernel's
-//     summation exactly), recovering float-quality ranking at binary-scan
-//     cost. rerank == 0 means unbounded: every probed row is reranked, so
-//     nprobe == Cc degenerates to the exact float top-k.
+//     candidates from the probed lists are re-scored in float through the
+//     GEMM the exact scans run (the same bits for the same query and row),
+//     recovering float-quality ranking at binary-scan cost. rerank == 0
+//     means unbounded: every probed row is reranked, so nprobe == Cc
+//     degenerates to the exact float top-k.
 //
 // topk_float, topk_binary and topk_cascade are one pipeline (search):
 // probe → candidates → score. They differ only in the probe domain (float
@@ -69,6 +69,16 @@ std::string retrieval_mode_name(RetrievalMode mode);
 /// Parse "exact" / "ivf" / "cascade" (the ServerConfig / CLI spellings);
 /// throws std::invalid_argument on anything else.
 RetrievalMode retrieval_mode_from_name(const std::string& name);
+
+/// Nearest centroid of each of `n` rows: the max float dot against the unit
+/// centroid rows [Cc, d] (the spherical k-means metric; ties → the lower
+/// centroid), one [chunk, Cc] GEMM per chunk of rows, chunks spread over
+/// the worker pool. Row r is rows[r·d, (r+1)·d), or with `ids` the
+/// matrix's row ids[r]. IvfIndex's k-means passes and
+/// extend_ivf_assignments both assign through this, so a row gets the
+/// same centroid whichever of them assigns it.
+void assign_nearest_centroids(const tensor::Tensor& centroids, const float* rows,
+                              const std::size_t* ids, std::size_t n, std::uint32_t* out);
 
 class IvfIndex {
  public:
@@ -127,13 +137,12 @@ class IvfIndex {
   void set_prefix_words(std::size_t words);
 
   /// IVF top-k on the float-cosine path: probe `nprobe` centroids by float
-  /// dot, score every row of the probed lists with a double-accumulated
-  /// cosine dot (the naive GEMM kernel's exact summation), select with the
-  /// exact path's k-bounded heap. result[b] holds min(k, probed rows)
-  /// entries ordered by (score desc, label asc). With nprobe == Cc the
-  /// result is the exact float top-k (bit-identical to the sharded scan
-  /// wherever the GEMM runs its naive kernel — see tests). `penalty` as in
-  /// ShardedPrototypeStore::topk_float.
+  /// dot, score every row of the probed lists through the GEMM the exact
+  /// scans run (gathered a bounded chunk at a time), select with the exact
+  /// path's k-bounded heap. result[b] holds min(k, probed rows) entries
+  /// ordered by (score desc, label asc). With nprobe == Cc the result is
+  /// the exact float top-k, bit-identical to the sharded scan. `penalty` as
+  /// in ShardedPrototypeStore::topk_float.
   std::vector<std::vector<TopK>> topk_float(const tensor::Tensor& embeddings, std::size_t k,
                                             std::size_t nprobe,
                                             const SeenPenalty* penalty = nullptr) const;
@@ -152,7 +161,7 @@ class IvfIndex {
 
   /// Cascade: binary-prefilter the probed lists down to rerank·k candidate
   /// rows (early-exit scan, integer keys), then re-score those candidates
-  /// with exact float cosine dots and select the final k. rerank == 0
+  /// in float as topk_float scores rows and select the final k. rerank == 0
   /// means unbounded — every probed row is reranked — so nprobe == Cc +
   /// rerank == 0 degenerates to the exact float top-k. GZSL handicaps:
   /// the prefilter folds the integer offset where exact (otherwise it

@@ -25,19 +25,6 @@ void pack_signs(const float* src, std::size_t n_rows, std::size_t code_bits, std
   }
 }
 
-/// Sign-LSH pre-activations rows · Rᵀ [n, D] of raw rows [n, d]. R is packed
-/// per call (nothing is kept) so that every row count takes the blocked
-/// kernel: gemm_accumulate would send a small product (n·D·d < 32³) through
-/// gemm_naive's double accumulation instead, and an append of a few rows
-/// would then not reproduce the bits a cold build of the same rows gives.
-tensor::Tensor lsh_project(const tensor::Tensor& rows, const tensor::Tensor& projection) {
-  const std::size_t n = rows.size(0), d = rows.size(1), code_bits = projection.size(0);
-  const tensor::PackedB r(tensor::Trans::T, d, code_bits, projection.data(), d);
-  tensor::Tensor out({n, code_bits});
-  tensor::gemm_packed(n, rows.data(), d, r, out.data(), code_bits);
-  return out;
-}
-
 }  // namespace
 
 void PrototypeStore::init_planes(std::size_t rows) {
@@ -72,7 +59,7 @@ PrototypeStore::PrototypeStore(const tensor::Tensor& prototypes, float scale,
     pack_rows_into(prototypes, 0, n_classes_);
   } else {
     projection_ = std::make_shared<LazyProjection>();
-    pack_rows_into(lsh_project(prototypes, projection()), 0, n_classes_);
+    pack_rows_into(tensor::matmul_nt(prototypes, projection()), 0, n_classes_);
   }
 }
 
@@ -126,7 +113,7 @@ PrototypeStore PrototypeStore::append_rows(const tensor::Tensor& raw_rows) const
   if (expansion_ == 1) {
     pack_signs(raw_rows.data(), n_new, code_bits_, words_per_row_, packed.data());
   } else {
-    const tensor::Tensor projected = lsh_project(raw_rows, projection());
+    const tensor::Tensor projected = tensor::matmul_nt(raw_rows, projection());
     pack_signs(projected.data(), n_new, code_bits_, words_per_row_, packed.data());
   }
   return append_impl(normalized, packed);

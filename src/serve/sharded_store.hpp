@@ -115,10 +115,13 @@ class ShardedPrototypeStore {
     std::size_t rows = 0;           ///< shard height
     std::uint64_t scans = 0;        ///< (query, shard) scatter scans executed
     std::uint64_t rows_swept = 0;   ///< prototype rows swept in those scans
-    std::uint64_t rows_pruned = 0;  ///< rows skipped wholesale by the
-                                    ///< block-skip cutoff (subset of swept;
-                                    ///< the heap-cutoff prune rate is
-                                    ///< rows_pruned / rows_swept)
+    /// Rows skipped wholesale by the block-skip cutoff (a subset of
+    /// swept; the prune rate is rows_pruned / rows_swept). On the binary
+    /// integer-key scan this count depends on thread timing: each shard
+    /// starts from whatever cross-shard hint earlier shards have
+    /// published, so with shards scanning concurrently it varies run to
+    /// run (results do not). With one worker it is deterministic.
+    std::uint64_t rows_pruned = 0;
   };
   std::vector<ShardInfo> shard_stats() const;
 

@@ -69,29 +69,15 @@ std::vector<std::uint32_t> extend_ivf_assignments(const tensor::Tensor& centroid
                                                   const std::vector<std::uint32_t>& assignments,
                                                   const PrototypeStore& grown,
                                                   std::size_t first_new_row) {
-  const std::size_t cc = centroids.size(0);
-  const std::size_t d = centroids.size(1);
-  const float* cent = centroids.data();
   // One allocation and one copy of the base vector: it is the live
   // version's, O(C) at catalog scale.
   std::vector<std::uint32_t> out;
   out.reserve(grown.n_classes());
   out.assign(assignments.begin(), assignments.end());
-  for (std::size_t r = first_new_row; r < grown.n_classes(); ++r) {
-    const float* row = grown.float_rows() + r * d;
-    std::uint32_t best = 0;
-    float best_dot = -std::numeric_limits<float>::infinity();
-    for (std::size_t c = 0; c < cc; ++c) {
-      float dot = 0.0f;
-      const float* cr = cent + c * d;
-      for (std::size_t j = 0; j < d; ++j) dot += row[j] * cr[j];
-      if (dot > best_dot) {
-        best_dot = dot;
-        best = static_cast<std::uint32_t>(c);
-      }
-    }
-    out.push_back(best);
-  }
+  out.resize(grown.n_classes());
+  assign_nearest_centroids(centroids, grown.float_rows() + first_new_row * centroids.size(1),
+                           nullptr, grown.n_classes() - first_new_row,
+                           out.data() + first_new_row);
   return out;
 }
 

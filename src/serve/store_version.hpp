@@ -134,11 +134,12 @@ std::vector<std::uint8_t> extend_seen_mask(const std::vector<std::uint8_t>& base
 
 /// Extend an IVF assignment vector over a grown store: rows
 /// [first_new_row, grown.n_classes()) are assigned to their nearest
-/// centroid (max float dot over the L2-normalized rows — the k-means
-/// metric the index was built with; ties → lower centroid) and appended to
-/// `assignments`. No re-clustering: appends only extend the vector, so a
-/// persisted delta's assignments reproduce exactly. The result is built
-/// with one allocation; `assignments` (the live version's) is only read.
+/// centroid by assign_nearest_centroids, the routine the index's own
+/// k-means assigned every row with, and appended to `assignments` (which
+/// holds first_new_row entries). No re-clustering: appends only extend the
+/// vector, so a persisted delta's assignments reproduce exactly. The
+/// result is built with one allocation; `assignments` (the live version's)
+/// is only read.
 std::vector<std::uint32_t> extend_ivf_assignments(const tensor::Tensor& centroids,
                                                   const std::vector<std::uint32_t>& assignments,
                                                   const PrototypeStore& grown,

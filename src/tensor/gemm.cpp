@@ -451,10 +451,6 @@ void gemm_accumulate(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size
                      std::size_t ldc) {
   if (m == 0 || n == 0 || k == 0) return;
   const obs::ScopedTimer profile(gemm_hist());
-  if (m * n * k < kGemmNaiveCutoff) {
-    gemm_naive(ta, tb, m, n, k, A, lda, B, ldb, C, ldc);
-    return;
-  }
   const KernelConfig& cfg = kernel();
   // B sub-panels are re-packed once per row block of the same column block
   // — redundant work that is O(k*n) against the O(m*n*k) compute it unlocks.
@@ -526,24 +522,6 @@ void gemm_conv(const ConvShape& s, const float* W, const float* X, const ConvEpi
   const auto finish = [&](std::size_t ic, std::size_t mc, std::size_t jc, std::size_t nc) {
     if (epilogue) epilogue(ep, view, ic, mc, jc, nc);
   };
-  if (m * n * k < kGemmNaiveCutoff) {
-    // gemm_accumulate's route for small products: the naive loop over the
-    // explicit column matrix, one image's column slice at a time.
-    const std::size_t kk = s.kernel, ow = s.out_w();
-    float* cols = scratch_f32(kScratchGemmPackB, k * n);
-    for (std::size_t r = 0; r < k; ++r) {
-      const float* tap = xp + (r / (kk * kk) * hp + r / kk % kk) * wp + r % kk;
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t img = j / ncols, oy = j % ncols / ow, ox = j % ow;
-        cols[r * n + j] = tap[img * s.in_c * hp * wp + (oy * wp + ox) * s.stride];
-      }
-    }
-    for (std::size_t b = 0; b < s.batch; ++b)
-      gemm_naive(Trans::N, Trans::N, m, ncols, k, W, k, cols + b * ncols, n, Y + b * m * ncols,
-                 ncols);
-    finish(0, m, 0, n);
-    return;
-  }
   const KernelConfig& cfg = kernel();
   run_blocked(
       cfg, Trans::N, m, n, k, W, k, view,

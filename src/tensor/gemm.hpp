@@ -20,9 +20,15 @@
 // variant the CPU supports is selected once at runtime. Row blocks fan out
 // across util::parallel_for workers (products under kGemmInlineMacs stay on
 // the calling thread); transposed operands are handled inside the packing
-// routines so all variants share one kernel. How the work is split never
-// changes a C element's arithmetic: results are bitwise independent of the
-// worker count.
+// routines so all variants share one kernel.
+//
+// Every product, however small, runs that one kernel. C[i, j] is the sum of
+// KC-deep register partial sums of row i of op(A) against column j of
+// op(B), added into C in depth order, so its arithmetic depends only on
+// those two vectors, k and the kernel variant — never on m, n, the task
+// grid or the worker count. A query's scores are therefore the same bits
+// alone or in any batch, against the whole prototype matrix or any row
+// range of it.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +37,6 @@
 namespace hdczsc::tensor {
 
 enum class Trans : unsigned char { N, T };
-
-/// Products of fewer multiply-adds (m·n·k) run gemm_naive's triple loop in
-/// gemm_accumulate: packing plus dispatch costs more than it saves there.
-inline constexpr std::size_t kGemmNaiveCutoff = 32 * 32 * 32;
 
 /// Products of fewer multiply-adds run their block-task grid on the calling
 /// thread instead of the worker pool: below ~2M multiply-adds a pool
@@ -77,10 +79,9 @@ class PackedB {
   std::vector<float> panels_;
 };
 
-/// C[m, n] += A * op(B) for row-major A [m, k] and a pre-packed op(B).
-/// Always runs the blocked micro-kernel (never gemm_naive), on the same
-/// task grid as gemm_accumulate: bitwise equal to gemm_accumulate(N, tb, …)
-/// whenever that one takes the blocked path (m·n·k >= kGemmNaiveCutoff).
+/// C[m, n] += A * op(B) for row-major A [m, k] and a pre-packed op(B), on
+/// the same kernel and task grid as gemm_accumulate: bitwise equal to
+/// gemm_accumulate(N, tb, …) for every m.
 void gemm_packed(std::size_t m, const float* A, std::size_t lda, const PackedB& B, float* C,
                  std::size_t ldc);
 
@@ -120,16 +121,15 @@ struct ConvEpilogue {
 /// is never built: each GEMM task packs its NR-wide B panels straight from
 /// a zero-padded copy of X, and the micro-kernel tiles accumulate into Y
 /// itself, split at image boundaries. The epilogue then runs once per task
-/// over its finished block. Products below kGemmNaiveCutoff run
-/// gemm_naive over an explicit column matrix instead. Either way each Y
-/// element is bitwise what gemm_accumulate over nn::im2col's matrix,
-/// followed by the epilogue's layers one at a time, computes — for every
-/// worker count.
+/// over its finished block. Each Y element is bitwise what gemm_accumulate
+/// over nn::im2col's matrix, followed by the epilogue's layers one at a
+/// time, computes — for every batch size and worker count.
 void gemm_conv(const ConvShape& s, const float* W, const float* X, const ConvEpilogue& ep,
                float* Y);
 
 /// Reference implementation with the same contract (triple loop, no packing,
-/// no threading). Kept for equivalence tests and speedup benchmarks.
+/// no threading; the N×T and T×T forms accumulate in double). The library
+/// never calls it: it is the tests' reference and the benches' baseline.
 void gemm_naive(Trans ta, Trans tb, std::size_t m, std::size_t n, std::size_t k, const float* A,
                 std::size_t lda, const float* B, std::size_t ldb, float* C, std::size_t ldc);
 

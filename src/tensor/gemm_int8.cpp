@@ -31,10 +31,6 @@ constexpr std::size_t kMC = 256;
 constexpr std::size_t kKC = 512;
 constexpr std::size_t kNC = 2048;
 
-// Below this flop count the plain triple loop wins: packing + dispatch cost
-// more than they save.
-constexpr std::size_t kNaiveCutoff = 32 * 32 * 32;
-
 /// Pack A[ic:ic+mc, pc:pc+kc] into MR-tall panels of k-quads: within a
 /// panel, quad g holds rows' bytes [i][4g..4g+3] contiguously per row —
 /// the 4-byte broadcast unit of the micro-kernels. Ragged rows and the
@@ -377,10 +373,6 @@ void gemm_s8u8_accumulate(std::size_t m, std::size_t n, std::size_t k, const std
                           std::int32_t* C, std::size_t ldc) {
   if (m == 0 || n == 0 || k == 0) return;
   const obs::ScopedTimer profile(gemm_int8_hist());
-  if (m * n * k < kNaiveCutoff) {
-    gemm_s32_naive(m, n, k, A, lda, B, ldb, C, ldc);
-    return;
-  }
   const KernelConfig& cfg = *active_kernel().load();
   // Same worker-aware row-block shrink as the float core: split rows only as
   // far as the pool can use, never below two tile rows.

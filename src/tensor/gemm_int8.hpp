@@ -40,8 +40,9 @@ void gemm_s8u8_accumulate(std::size_t m, std::size_t n, std::size_t k, const std
                           std::int32_t* C, std::size_t ldc);
 
 /// Reference implementation with the same contract (triple loop, no packing,
-/// no threading, no range requirement on A). Kept for equivalence tests and
-/// speedup benchmarks.
+/// no threading, no range requirement on A). The library never calls it:
+/// gemm_s8u8_accumulate runs its blocked kernels for every shape, and the
+/// tests compare each of them against this loop.
 void gemm_s32_naive(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* A,
                     std::size_t lda, const std::uint8_t* B, std::size_t ldb, std::int32_t* C,
                     std::size_t ldc);

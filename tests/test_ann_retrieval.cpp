@@ -23,6 +23,7 @@
 #include "serve/ann_store.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/snapshot_io.hpp"
+#include "serve/store_version.hpp"
 #include "tensor/ops.hpp"
 
 namespace hdczsc {
@@ -163,6 +164,18 @@ TEST(IvfBuild, RebuildIsDeterministic) {
   EXPECT_EQ(tensor::max_abs_diff(a.centroids(), b.centroids()), 0.0f);
 }
 
+TEST(IvfBuild, ExtendingNoRowsReassignsEveryRowAsTheBuildDid) {
+  // Appends assign their rows with the routine k-means' final pass used, so
+  // re-assigning a whole store over the built centroids reproduces the
+  // built assignments.
+  for (const std::size_t classes : {300u, 3000u}) {  // one and three assignment chunks
+    const PrototypeStore store = make_store(classes, 48);
+    const IvfIndex ivf(store);
+    EXPECT_EQ(serve::extend_ivf_assignments(ivf.centroids(), {}, store, 0), ivf.assignments())
+        << classes << " classes";
+  }
+}
+
 TEST(IvfBuild, FromPartsRejectsMismatchedGeometry) {
   const PrototypeStore store = make_store(50, 32);
   const IvfIndex built(store);
@@ -188,17 +201,27 @@ TEST(IvfBuild, FromPartsRejectsMismatchedGeometry) {
 
 // -- full-probe degeneracy: the tier's central property ----------------------
 
+/// The stores the full-probe float tests run on: a small one, and one whose
+/// probed lists span several re-score chunks.
+struct FloatShape {
+  std::size_t classes, dim, expansion;
+};
+constexpr FloatShape kFloatShapes[] = {{100, 64, 1}, {5000, 64, 4}};
+
 TEST(IvfExact, FloatFullProbeMatchesShardedBitwise) {
-  // Sizes keep every GEMM on the deterministic naive kernel so the
-  // double-accumulated per-row dot reproduces the sharded scores exactly.
-  const PrototypeStore store = make_store(100, 64);
-  const ShardedPrototypeStore sharded(store, 1);
-  const IvfIndex ivf(store);
-  util::Rng rng(11);
-  const Tensor emb = Tensor::randn({5, 64}, rng);
-  for (std::size_t k : {1u, 7u, 100u})
-    expect_identical(ivf.topk_float(emb, k, ivf.n_centroids()), sharded.topk_float(emb, k),
-                     "float full-probe k=" + std::to_string(k));
+  // The rerank scores rows through the exact scans' GEMM, so a full probe
+  // reproduces the sharded scores bit for bit at any store size.
+  for (const FloatShape s : kFloatShapes) {
+    const PrototypeStore store = make_store(s.classes, s.dim, s.expansion);
+    const ShardedPrototypeStore sharded(store, 1);
+    const IvfIndex ivf(store);
+    util::Rng rng(11);
+    const Tensor emb = Tensor::randn({5, s.dim}, rng);
+    for (std::size_t k : {1u, 7u, 100u})
+      expect_identical(ivf.topk_float(emb, k, ivf.n_centroids()), sharded.topk_float(emb, k),
+                       "float full-probe C=" + std::to_string(s.classes) +
+                           " k=" + std::to_string(k));
+  }
 }
 
 TEST(IvfExact, BinaryFullProbeMatchesShardedBitwise) {
@@ -220,18 +243,21 @@ TEST(IvfExact, BinaryFullProbeMatchesShardedBitwise) {
 }
 
 TEST(IvfExact, CascadeUnboundedRerankMatchesExactFloat) {
-  const PrototypeStore store = make_store(100, 64);
-  const ShardedPrototypeStore sharded(store, 1);
-  const IvfIndex ivf(store);
-  util::Rng rng(17);
-  const Tensor emb = Tensor::randn({5, 64}, rng);
-  const auto want = sharded.topk_float(emb, 7);
-  // rerank == 0 (unbounded) and any rerank whose budget covers every probed
-  // row both skip nothing — exact float top-k either way.
-  expect_identical(ivf.topk_cascade(emb, 7, ivf.n_centroids(), 0), want,
-                   "cascade rerank=0");
-  expect_identical(ivf.topk_cascade(emb, 7, ivf.n_centroids(), 1000), want,
-                   "cascade rerank=1000");
+  for (const FloatShape s : kFloatShapes) {
+    const PrototypeStore store = make_store(s.classes, s.dim, s.expansion);
+    const ShardedPrototypeStore sharded(store, 1);
+    const IvfIndex ivf(store);
+    util::Rng rng(17);
+    const Tensor emb = Tensor::randn({5, s.dim}, rng);
+    const auto want = sharded.topk_float(emb, 7);
+    // rerank == 0 (unbounded) and any rerank whose budget covers every
+    // probed row both skip nothing — exact float top-k either way.
+    const std::string where = " C=" + std::to_string(s.classes);
+    expect_identical(ivf.topk_cascade(emb, 7, ivf.n_centroids(), 0), want,
+                     "cascade rerank=0" + where);
+    expect_identical(ivf.topk_cascade(emb, 7, ivf.n_centroids(), 1000), want,
+                     "cascade rerank=1000" + where);
+  }
 }
 
 // -- Hamming early exit ------------------------------------------------------

@@ -143,16 +143,15 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
 
 TEST(Gemm, PackedEqualsAccumulateBitwise) {
   // Every m around both kernels' MR (4 and 8) plus a multi-row-block one,
-  // ragged n (one and two NC column blocks), k below, at and past KC. Each
-  // n·k reaches kGemmNaiveCutoff, so gemm_accumulate takes the blocked
-  // path at every m — the only regime the packed entry promises to match.
+  // n from a single column to two NC column blocks, k from 1 to past KC:
+  // gemm_accumulate runs the blocked kernel for every shape, so the packed
+  // entry matches it everywhere, tiny products included.
   util::Rng rng(24);
   for (std::size_t workers : {1u, 2u, 4u}) {
     util::set_worker_count(workers);
     for (Trans tb : {Trans::N, Trans::T}) {
-      for (std::size_t n : {131u, 1030u}) {
-        for (std::size_t k : {255u, 256u, 515u}) {
-          ASSERT_GE(n * k, tensor::kGemmNaiveCutoff);
+      for (std::size_t n : {1u, 5u, 131u, 1030u}) {
+        for (std::size_t k : {1u, 3u, 255u, 256u, 515u}) {
           const std::size_t ldb = tb == Trans::N ? n : k;
           const std::vector<float> B = randn_vec(k * n, rng);
           const tensor::PackedB packed(tb, k, n, B.data(), ldb);
@@ -255,8 +254,9 @@ void check_int8_shape(std::size_t m, std::size_t n, std::size_t k, std::uint64_t
 
 TEST(GemmInt8, EveryKernelBitExactAcrossEdgeShapes) {
   // Integer accumulation is exact, so every ISA variant this machine can
-  // run must agree with the reference to the bit — including shapes that
-  // stress tile remainders, the k-quad padding, and the blocking cutoffs.
+  // run must agree with the reference to the bit. Every shape runs the
+  // blocked kernels, so the tiny ones stress tile remainders and the k-quad
+  // padding as the large ones stress the cache blocking.
   for (const char* kernel : {"portable", "avx2", "avx512vnni"}) {
     if (!tensor::gemm_int8_force_kernel(kernel)) continue;  // CPU can't run it
     check_int8_shape(1, 1, 1, 31);
@@ -476,7 +476,6 @@ TEST(GemmConv, ForwardAndFusedFormsMatchLayerByLayerBitwise) {
       {64, 16, 3, 1, 1, 5, 7, "k = 576 -> 5x7"},
   };
   util::Rng rng(26);
-  std::size_t naive = 0, blocked = 0;
   for (const Case& c : cases) {
     for (bool bias : {false, true}) {
       nn::Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, c.pad, rng, bias);
@@ -488,8 +487,6 @@ TEST(GemmConv, ForwardAndFusedFormsMatchLayerByLayerBitwise) {
         const Tensor x = Tensor::randn({batch, c.in_c, c.h, c.w}, rng);
         const Tensor residual =
             Tensor::randn({batch, c.out_c, conv.out_size(c.h), conv.out_size(c.w)}, rng);
-        const std::size_t macs = residual.numel() * c.in_c * c.kernel * c.kernel;  // m·n·k
-        ++(macs < tensor::kGemmNaiveCutoff ? naive : blocked);
         const Tensor conv_out = im2col_gemm_forward(conv, x);
         Tensor want[8];
         for (int form = 0; form < 8; ++form)
@@ -513,8 +510,6 @@ TEST(GemmConv, ForwardAndFusedFormsMatchLayerByLayerBitwise) {
     }
   }
   util::set_worker_count(0);
-  EXPECT_GT(naive, 0u);  // both gemm_conv routes ran
-  EXPECT_GT(blocked, 0u);
 }
 
 TEST(GemmConv, FusedFormRejectsMismatchedBnAndResidual) {

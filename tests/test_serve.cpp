@@ -394,6 +394,36 @@ struct FreshModel {
   }
 };
 
+TEST(InferenceEngine, ImagesAloneGetTheTopkListsOfOneBatchOf16) {
+  // image-cub's serving path: resnet_micro_flat embeds, then float scores
+  // against 50 classes at d = 256. An image's top-k labels and scores must
+  // not depend on the batch it is served in, at any shard count.
+  const data::AttributeSpace space = data::AttributeSpace::toy(6, 3, 9);
+  core::ZscModelConfig cfg;
+  cfg.image.arch = "resnet_micro_flat";
+  cfg.image.proj_dim = 256;
+  util::Rng rng(0x1C0BULL);
+  const auto snapshot = std::make_shared<serve::ModelSnapshot>(
+      core::make_zsc_model(cfg, space, rng),
+      Tensor::rand_uniform({50, space.n_attributes()}, rng));
+  const Tensor images = Tensor::randn({16, 3, 32, 32}, rng);
+  for (std::size_t shards : {1u, 4u}) {
+    serve::InferenceEngine engine(snapshot, serve::ScoringMode::kFloatCosine, shards);
+    const auto batched = engine.topk_batch(images, 5);
+    ASSERT_EQ(batched.size(), 16u);
+    for (std::size_t b = 0; b < 16; ++b) {
+      const auto alone = engine.topk_batch(slice_image(images, b).reshape({1, 3, 32, 32}), 5);
+      ASSERT_EQ(alone[0].size(), batched[b].size()) << "image " << b << " S=" << shards;
+      for (std::size_t r = 0; r < alone[0].size(); ++r) {
+        EXPECT_EQ(alone[0][r].label, batched[b][r].label)
+            << "image " << b << " rank " << r << " S=" << shards;
+        EXPECT_EQ(alone[0][r].score, batched[b][r].score)
+            << "image " << b << " rank " << r << " S=" << shards;
+      }
+    }
+  }
+}
+
 TEST(ModelSnapshot, EmbedIsBitwiseTheUnfrozenLayerForwardAtEveryBatchAndWorkerCount) {
   const auto& s = SharedServe::get();
   core::ImageEncoder& served = s.tp.model->image_encoder();

@@ -69,8 +69,6 @@ PrototypeStore make_store(std::size_t classes, std::size_t dim, std::size_t expa
 // -- exactness against the flat argsort --------------------------------------
 
 TEST(ShardedStore, FloatTopkMatchesFlatArgsort) {
-  // Sizes keep every GEMM (flat and per-shard) on one deterministic kernel
-  // path, so scores are bit-identical, not merely rank-identical.
   const PrototypeStore store = make_store(100, 64);
   util::Rng rng(11);
   const Tensor emb = Tensor::randn({5, 64}, rng);
@@ -98,17 +96,53 @@ TEST(ShardedStore, BinaryTopkMatchesFlatArgsort) {
 }
 
 TEST(ShardedStore, FloatRankingSurvivesBlockedGemmScale) {
-  // Above the naive-GEMM cutoff the flat and per-shard scans may take
-  // different blocking paths; the *ranking* must still agree.
+  // Every product runs the one blocked GEMM kernel, whose scores do not
+  // depend on how many rows a shard hands it: labels and scores agree with
+  // the flat scan at every shard count.
   const PrototypeStore store = make_store(600, 128);
   util::Rng rng(17);
   const Tensor emb = Tensor::randn({4, 128}, rng);
   const auto want = flat_topk(store.score_float(emb), 8);
+  for (std::size_t shards : {1u, 4u, 16u, 64u}) {
+    const ShardedPrototypeStore sharded(store, shards);
+    expect_identical(sharded.topk_float(emb, 8), want, "float S=" + std::to_string(shards));
+  }
+}
+
+TEST(ShardedStore, FloatScoresOfAQueryDoNotDependOnItsBatch) {
+  // image-cub's store shape. Each query scored alone must get the bits it
+  // gets inside a batch of any size, flat and sharded.
+  const PrototypeStore store = make_store(50, 256);
+  util::Rng rng(19);
+  const std::size_t n = 16, k = 5;
+  const Tensor emb = Tensor::randn({n, 256}, rng);
+  const auto rows = [&](std::size_t first, std::size_t count) {
+    Tensor out({count, 256});
+    std::copy(emb.data() + first * 256, emb.data() + (first + count) * 256, out.data());
+    return out;
+  };
   const ShardedPrototypeStore sharded(store, 4);
-  const auto got = sharded.topk_float(emb, 8);
-  for (std::size_t b = 0; b < got.size(); ++b)
-    for (std::size_t i = 0; i < got[b].size(); ++i)
-      EXPECT_EQ(got[b][i].label, want[b][i].label) << "query " << b << " rank " << i;
+  std::vector<Tensor> alone_logits;
+  std::vector<std::vector<TopK>> alone_topk;
+  for (std::size_t q = 0; q < n; ++q) {
+    alone_logits.push_back(store.score_float(rows(q, 1)));
+    alone_topk.push_back(sharded.topk_float(rows(q, 1), k)[0]);
+  }
+  for (std::size_t batch = 2; batch <= n; ++batch) {
+    for (std::size_t first = 0; first < n; first += batch) {
+      const std::size_t count = std::min(batch, n - first);
+      const Tensor x = rows(first, count);
+      const Tensor logits = store.score_float(x);
+      const auto topk = sharded.topk_float(x, k);
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::string what =
+            "query " + std::to_string(first + i) + " in a batch of " + std::to_string(count);
+        for (std::size_t c = 0; c < store.n_classes(); ++c)
+          ASSERT_EQ(logits.at(i, c), alone_logits[first + i].at(0, c)) << what << " class " << c;
+        expect_identical({topk[i]}, {alone_topk[first + i]}, what);
+      }
+    }
+  }
 }
 
 TEST(ShardedStore, MultiQueryKernelMatchesPerQueryKernel) {
