@@ -1,5 +1,5 @@
-// Approximate million-class retrieval benchmark: the IVF + Hamming
-// early-exit + binary→float rerank cascade (serve/ann_store.hpp) against
+// Approximate million-class retrieval benchmark: the IVF + fused Hamming
+// scan + binary→float rerank cascade (serve/ann_store.hpp) against
 // the exact sharded scatter/gather scan, on a clustered synthetic label
 // space — the regime the coarse quantizer is built for.
 //
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
       stats.rows_swept ? static_cast<double>(stats.rows_pruned) / stats.rows_swept : 0.0;
   std::printf("defaults (nprobe=%zu, rerank=%zu): cascade %.1f ms, recall@%zu %.4f, "
               "%.2fx over exact float (%.1f ms; medians of %zu back-to-back pairs); "
-              "early-exit pruned %.1f%% of swept rows\n",
+              "block test pruned %.1f%% of swept rows\n",
               ivf.default_nprobe(), rerank, default_ms, k, default_recall, default_speedup,
               default_exact_ms, kGatePairs, 100.0 * prune_rate);
 

@@ -121,6 +121,51 @@ const bool hamming_multi_registered = [] {
   return true;
 }();
 
+void BM_HammingTopK(benchmark::State& state, const char* kernel) {
+  // The binary top-k paths' fused scan-and-select
+  // (hdc::hamming_topk_packed): a batch of queries against one catalog
+  // shard's worth of code rows (62,500 rows), top-10 per query, pinned to
+  // one kernel variant. The pruned-share counter is the share of
+  // (query, row) pairs the block test skipped.
+  const std::size_t words = static_cast<std::size_t>(state.range(0));
+  const std::size_t n_queries = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t kRows = 62500, kTop = 10;
+  util::Rng rng(14);
+  std::vector<std::uint64_t> rows(kRows * words), queries(n_queries * words);
+  for (auto& w : rows) w = rng.next_u64();
+  for (auto& w : queries) w = rng.next_u64();
+  std::vector<std::uint64_t> slots(n_queries * kTop);
+  std::vector<hdc::HammingTopK> heaps;
+  std::uint64_t pruned = 0;
+  hdc::set_hamming_kernel(kernel);
+  for (auto _ : state) {
+    heaps.clear();
+    for (std::size_t q = 0; q < n_queries; ++q) heaps.emplace_back(slots.data() + q * kTop, kTop);
+    pruned += hdc::hamming_topk_packed(queries.data(), n_queries, rows.data(), kRows, words, {},
+                                       heaps.data());
+    benchmark::DoNotOptimize(slots.data());
+  }
+  hdc::set_hamming_kernel("auto");
+  const double pairs = static_cast<double>(state.iterations()) * kRows * n_queries;
+  state.counters["pruned_share"] = static_cast<double>(pruned) / pairs;
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(kRows * n_queries));
+}
+
+// One BM_HammingTopK/<variant> family per kernel variant this CPU runs:
+// catalog's code width (4 words) and 2048-bit rows (32 words).
+const bool hamming_topk_registered = [] {
+  for (const char* kernel : {"portable", "popcnt", "avx512"}) {
+    if (!hdc::set_hamming_kernel(kernel)) continue;
+    benchmark::RegisterBenchmark(("BM_HammingTopK/" + std::string(kernel)).c_str(),
+                                 BM_HammingTopK, kernel)
+        ->ArgsProduct({{4, 32}, {1, 4, 16}})
+        ->ArgNames({"words", "queries"});
+  }
+  hdc::set_hamming_kernel("auto");
+  return true;
+}();
+
 void BM_HammingManyVsLoop(benchmark::State& state) {
   // Baseline for BM_HammingMany: the same scan through the one-pair
   // BinaryHV::hamming API (per-row dispatch, no contiguous layout).

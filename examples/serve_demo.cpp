@@ -317,7 +317,8 @@ int run(int argc, char** argv) {
   }
 
   // Approximate-tier telemetry: how much of the label space the probes
-  // actually touched, and what the Hamming early exit saved.
+  // actually touched, and how many of those rows the fused scan's block
+  // test skipped.
   if (const auto ann = registry.ann_stats(keys[0])) {
     std::printf("ivf probes (%s): %llu queries, %llu lists opened, %llu rows swept "
                 "(%llu pruned, %llu reranked)\n",

@@ -154,6 +154,79 @@ BipolarHV BinaryHV::to_bipolar() const {
 
 namespace {
 
+/// Row i's label under `labels`.
+inline std::size_t label_of(const RowLabels& labels, std::size_t i) {
+  return labels.ids ? labels.ids[i] : labels.first + i;
+}
+
+/// The block test on one query's (offset-folded) counts h[0, n): whether
+/// any is at or below the heap's threshold. A full block with none is
+/// added to `pruned`.
+[[gnu::always_inline]] inline bool block_open(const HammingTopK& heap, const std::uint32_t* h,
+                                              std::size_t n, std::uint64_t& pruned) {
+  const std::uint32_t t = heap.threshold();
+  std::uint32_t any = 0;
+  for (std::size_t j = 0; j < n; ++j) any |= h[j] <= t ? 1u : 0u;
+  if (!any && n == kTopkBlock) pruned += kTopkBlock;
+  return any != 0;
+}
+
+/// Scalar fused scan for NQ ≤ 4 queries: each kTopkBlock-row block is
+/// counted for all NQ queries per row load and its offsets folded; the
+/// block test runs per query, on the first kTopkHeadWords words first for
+/// wider rows; an open block offers its rows at or below the threshold
+/// sampled for the test. Inlined into each ISA-stamped wrapper below, which
+/// sets the popcount lowering.
+template <std::size_t NQ>
+[[gnu::always_inline]] inline std::uint64_t topk_scalar(const std::uint64_t* queries,
+                                                        const std::uint64_t* rows,
+                                                        std::size_t n_rows, std::size_t words,
+                                                        const RowLabels& labels,
+                                                        HammingTopK* heaps) {
+  const std::size_t head = std::min(words, kTopkHeadWords);
+  std::uint64_t pruned = 0;
+  std::uint32_t h[NQ][kTopkBlock];
+  // Adds the counts of words [w0, w1) of rows [i, i + n) to h.
+  const auto count = [&](std::size_t i, std::size_t n, std::size_t w0, std::size_t w1) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t* row = rows + (i + j) * words;
+      std::uint32_t acc[NQ] = {};
+      for (std::size_t w = w0; w < w1; ++w) {
+        const std::uint64_t rw = row[w];
+        for (std::size_t q = 0; q < NQ; ++q)
+          acc[q] += static_cast<std::uint32_t>(std::popcount(queries[q * words + w] ^ rw));
+      }
+      for (std::size_t q = 0; q < NQ; ++q) h[q][j] += acc[q];
+    }
+  };
+  for (std::size_t i = 0; i < n_rows; i += kTopkBlock) {
+    const std::size_t n = std::min(kTopkBlock, n_rows - i);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint32_t d = labels.offsets ? labels.offsets[label_of(labels, i + j)] : 0;
+      for (std::size_t q = 0; q < NQ; ++q) h[q][j] = d;
+    }
+    count(i, n, 0, head);
+    bool open[NQ];
+    bool any_open = false;
+    for (std::size_t q = 0; q < NQ; ++q) {
+      open[q] = block_open(heaps[q], h[q], n, pruned);
+      any_open = any_open || open[q];
+    }
+    if (head < words && any_open) {
+      count(i, n, head, words);
+      for (std::size_t q = 0; q < NQ; ++q)
+        open[q] = open[q] && block_open(heaps[q], h[q], n, pruned);
+    }
+    for (std::size_t q = 0; q < NQ; ++q) {
+      if (!open[q]) continue;
+      const std::uint32_t t = heaps[q].threshold();
+      for (std::size_t j = 0; j < n; ++j)
+        if (h[q][j] <= t) heaps[q].offer(h[q][j], label_of(labels, i + j));
+    }
+  }
+  return pruned;
+}
+
 // The packed-scan kernels are stamped per ISA, mirroring tensor/gemm.cpp:
 // the build targets baseline x86-64 (no POPCNT instruction), where
 // std::popcount lowers to a ~12-op bit-twiddling sequence. A variant
@@ -215,6 +288,21 @@ namespace {
     }                                                                                       \
     for (; q < n_queries; ++q)                                                              \
       hamming_rows_##suffix(queries + q * words, rows, 0, n_rows, words, out + q * n_rows); \
+  }                                                                                         \
+  attrs static std::uint64_t hamming_topk_##suffix(                                         \
+      const std::uint64_t* queries, std::size_t n_queries, const std::uint64_t* rows,       \
+      std::size_t n_rows, std::size_t words, const RowLabels& labels, HammingTopK* heaps) { \
+    std::uint64_t pruned = 0;                                                               \
+    for (std::size_t q = 0; q < n_queries; q += 4) {                                        \
+      const std::uint64_t* qs = queries + q * words;                                        \
+      switch (std::min<std::size_t>(4, n_queries - q)) {                                    \
+        case 1: pruned += topk_scalar<1>(qs, rows, n_rows, words, labels, heaps + q); break; \
+        case 2: pruned += topk_scalar<2>(qs, rows, n_rows, words, labels, heaps + q); break; \
+        case 3: pruned += topk_scalar<3>(qs, rows, n_rows, words, labels, heaps + q); break; \
+        default: pruned += topk_scalar<4>(qs, rows, n_rows, words, labels, heaps + q); break; \
+      }                                                                                     \
+    }                                                                                       \
+    return pruned;                                                                          \
   }
 
 HDCZSC_DEFINE_HAMMING_KERNEL(portable, )
@@ -225,15 +313,18 @@ HDCZSC_DEFINE_HAMMING_KERNEL(popcnt, __attribute__((target("popcnt"))))
 // The avx512 variant counts eight words per VPOPCNTQ (the vector popcount
 // of Muła, Kurz & Lemire, Comput. J. 2018) and scores each row against a
 // block of up to four queries per load, so a batch of 1–4 queries streams
-// the code rows once. Rows go eight at a time, laid out by width:
+// the code rows once. Rows go sixteen at a time, as two halves of eight,
+// laid out by width:
 //  * 1, 2, 4 or 8 words — rows in lanes: the eight rows fill `words`
 //    registers in memory order, each XORed with the query repeated across
 //    the register and counted;
 //  * more than 8 words — one register per row, accumulating its counts
 //    eight words at a time.
 // Either way each row's partial counts sit in consecutive lanes, and
-// log2 rounds of lane-transposing adds leave one count per row, so the
-// eight counts go out in one store instead of eight horizontal sums.
+// log2 rounds of lane-transposing adds leave one count per row. The scans
+// hand each 16-row block's counts, still in registers, to a sink:
+// StoreCounts writes them out (the rows and multi kernels), SelectTopk
+// applies the block rule (the fused top-k kernel).
 // Widths 3, 5, 6 and 7 keep the popcnt loop: a row there straddles
 // registers, and reducing each row on its own measured slower than popcnt.
 #define HDCZSC_AVX512_HAMMING \
@@ -255,20 +346,122 @@ HDCZSC_AVX512_HAMMING inline __m512i add_pairs(__m512i a, __m512i b) {
 }
 
 /// c[0..N) hold eight rows' partial counts in row order, N lanes per row:
-/// fold them to one lane per row and store the first n ≤ 8 as uint32.
+/// fold them to one u64 lane per row.
 template <std::size_t N>
-HDCZSC_AVX512_HAMMING inline void fold_store(__m512i* c, std::size_t n, std::uint32_t* out) {
+HDCZSC_AVX512_HAMMING inline __m512i fold(__m512i* c) {
   for (std::size_t width = N; width > 1; width /= 2)
     for (std::size_t k = 0; k < width / 2; ++k) c[k] = add_pairs(c[2 * k], c[2 * k + 1]);
-  _mm512_mask_cvtepi64_storeu_epi32(out, static_cast<__mmask8>((1u << n) - 1), c[0]);
+  return c[0];
 }
 
-/// Rows in lanes, W ∈ {1,2,4,8}: out[q*stride + i] = popcount(query q ^
-/// row i) for NQ queries over n_rows rows.
-template <std::size_t W, std::size_t NQ>
-HDCZSC_AVX512_HAMMING void scan_lanes(const std::uint64_t* queries, const std::uint64_t* rows,
-                                      std::size_t n_rows, std::uint32_t* out,
-                                      std::size_t stride) {
+/// The mask of the first min(n, 8) lanes.
+inline __mmask8 first_lanes(std::size_t n) {
+  return static_cast<__mmask8>((1u << std::min<std::size_t>(n, 8)) - 1);
+}
+
+/// Sink of the rows and multi kernels: query q's counts of rows [i, i + n)
+/// go to out[q*stride + i, ...). In every sink, h[0] and h[1] hold rows
+/// i..i+7 and i+8..i+15 of the block, one u64 lane per row, and only the
+/// first n ≤ 16 rows are real; `pruned` is the scan's pruned-row count.
+struct StoreCounts {
+  static constexpr bool kEarlyTest = false;
+  std::uint32_t* out;
+  std::size_t stride;
+
+  HDCZSC_AVX512_HAMMING void take(std::size_t q, std::size_t i, std::size_t n, const __m512i* h,
+                                  std::uint64_t&) {
+    std::uint32_t* o = out + q * stride + i;
+    _mm512_mask_cvtepi64_storeu_epi32(o, first_lanes(n), h[0]);
+    if (n > 8) _mm512_mask_cvtepi64_storeu_epi32(o + 8, first_lanes(n - 8), h[1]);
+  }
+};
+
+/// Sink of the fused top-k kernel: hamming_topk_packed's block rule on
+/// heaps[q], with the offset fold and the test done in registers.
+/// kEarlyTest: wide_block tests a block on its head words' counts first.
+struct SelectTopk {
+  static constexpr bool kEarlyTest = true;
+  const RowLabels& labels;
+  HammingTopK* heaps;
+
+  /// The block's counts as sixteen u32 lanes, offsets folded.
+  HDCZSC_AVX512_HAMMING __m512i folded(std::size_t i, std::size_t n, const __m512i* h) const {
+    // The low half of each u64 lane: rows 0–7 from h[0], 8–15 from h[1].
+    const __m512i low = _mm512_set_epi32(30, 28, 26, 24, 22, 20, 18, 16, 14, 12, 10, 8, 6, 4, 2, 0);
+    const __m512i v = _mm512_permutex2var_epi32(h[0], low, h[1]);
+    if (!labels.offsets) return v;
+    const __mmask16 live = static_cast<__mmask16>((1u << n) - 1);
+    if (!labels.ids)
+      return _mm512_add_epi32(
+          v, _mm512_maskz_loadu_epi32(live, labels.offsets + labels.first + i));
+    alignas(64) std::uint32_t d[kTopkBlock] = {};
+    for (std::size_t j = 0; j < n; ++j) d[j] = labels.offsets[labels.ids[i + j]];
+    return _mm512_add_epi32(v, _mm512_load_si512(d));
+  }
+  /// Lanes of the rows whose counts v can enter heaps[q]; a full block
+  /// with none is added to `pruned`.
+  HDCZSC_AVX512_HAMMING __mmask16 entering(std::size_t q, std::size_t n, __m512i v,
+                                           std::uint64_t& pruned) const {
+    const __mmask16 live = static_cast<__mmask16>((1u << n) - 1);
+    const __m512i t = _mm512_set1_epi32(static_cast<int>(heaps[q].threshold()));
+    const __mmask16 m = _mm512_mask_cmple_epu32_mask(live, v, t);
+    if (!m && n == kTopkBlock) pruned += kTopkBlock;
+    return m;
+  }
+  /// The block test on partial counts: false skips the block.
+  HDCZSC_AVX512_HAMMING bool open(std::size_t q, std::size_t i, std::size_t n, const __m512i* h,
+                                  std::uint64_t& pruned) const {
+    return entering(q, n, folded(i, n, h), pruned) != 0;
+  }
+  HDCZSC_AVX512_HAMMING void take(std::size_t q, std::size_t i, std::size_t n, const __m512i* h,
+                                  std::uint64_t& pruned) {
+    const __m512i v = folded(i, n, h);
+    unsigned m = entering(q, n, v, pruned);
+    if (!m) return;
+    alignas(64) std::uint32_t c[kTopkBlock];
+    _mm512_store_si512(c, v);
+    for (; m; m &= m - 1) {
+      const unsigned j = static_cast<unsigned>(std::countr_zero(m));
+      heaps[q].offer(c[j], label_of(labels, i + j));
+    }
+  }
+};
+
+/// Rows in lanes, W ∈ {1,2,4,8}: one block of n ≤ 16 rows from `block`
+/// against NQ queries (qv: each repeated across a register), its counts
+/// handed to `sink`. Inlined with n = 16 for every full block, so the hot
+/// loop carries no tail masks.
+template <std::size_t W, std::size_t NQ, typename Sink>
+[[gnu::always_inline]] HDCZSC_AVX512_HAMMING inline void lanes_block(
+    const __m512i* qv, const std::uint64_t* block, std::size_t i, std::size_t n, Sink& sink,
+    std::uint64_t& pruned) {
+  __m512i h[NQ][2];
+  for (std::size_t half = 0; half < 2; ++half) {
+    if (8 * half >= n) {
+      for (std::size_t q = 0; q < NQ; ++q) h[q][half] = _mm512_setzero_si512();
+      continue;
+    }
+    const std::size_t m = std::min<std::size_t>(8, n - 8 * half);
+    const std::uint64_t* rows = block + 8 * half * W;
+    __m512i r[W];
+    for (std::size_t k = 0; k < W; ++k)
+      r[k] = m * W > 8 * k ? load_words(rows + 8 * k, m * W - 8 * k) : _mm512_setzero_si512();
+    for (std::size_t q = 0; q < NQ; ++q) {
+      __m512i c[W];
+      for (std::size_t k = 0; k < W; ++k)
+        c[k] = _mm512_popcnt_epi64(_mm512_xor_si512(r[k], qv[q]));
+      h[q][half] = fold<W>(c);
+    }
+  }
+  for (std::size_t q = 0; q < NQ; ++q) sink.take(q, i, n, h[q], pruned);
+}
+
+/// Rows in lanes, W ∈ {1,2,4,8}: NQ queries against n_rows rows, each
+/// 16-row block's counts handed to `sink`. Returns the rows pruned.
+template <std::size_t W, std::size_t NQ, typename Sink>
+HDCZSC_AVX512_HAMMING std::uint64_t scan_lanes(const std::uint64_t* queries,
+                                               const std::uint64_t* rows, std::size_t n_rows,
+                                               Sink& sink) {
   // Query q repeated across the register: lane j holds word j % W.
   const __m512i lane_word = _mm512_set_epi64(7 % W, 6 % W, 5 % W, 4 % W, 3 % W, 2 % W, 1 % W, 0);
   __m512i qv[NQ];
@@ -276,44 +469,76 @@ HDCZSC_AVX512_HAMMING void scan_lanes(const std::uint64_t* queries, const std::u
     const __m512i words = load_words(queries + q * W, W);
     qv[q] = _mm512_permutex2var_epi64(words, lane_word, words);
   }
-  for (std::size_t i = 0; i < n_rows; i += 8) {
-    const std::size_t n = std::min<std::size_t>(8, n_rows - i);
-    const std::uint64_t* block = rows + i * W;
-    __m512i r[W];
-    for (std::size_t k = 0; k < W; ++k)
-      r[k] = n * W > 8 * k ? load_words(block + 8 * k, n * W - 8 * k) : _mm512_setzero_si512();
-    for (std::size_t q = 0; q < NQ; ++q) {
-      __m512i c[W];
-      for (std::size_t k = 0; k < W; ++k)
-        c[k] = _mm512_popcnt_epi64(_mm512_xor_si512(r[k], qv[q]));
-      fold_store<W>(c, n, out + q * stride + i);
+  std::uint64_t pruned = 0;
+  std::size_t i = 0;
+  for (; i + kTopkBlock <= n_rows; i += kTopkBlock)
+    lanes_block<W, NQ>(qv, rows + i * W, i, kTopkBlock, sink, pruned);
+  if (i < n_rows) lanes_block<W, NQ>(qv, rows + i * W, i, n_rows - i, sink, pruned);
+  return pruned;
+}
+
+/// Rows [0, n) of a block of `words`-word rows: each row's count of words
+/// [w0, w1) against `query`, rows 0–7 in h[0]'s lanes and 8–15 in h[1]'s.
+[[gnu::always_inline]] HDCZSC_AVX512_HAMMING inline void count_wide(const std::uint64_t* query,
+                                             const std::uint64_t* block, std::size_t n,
+                                             std::size_t words, std::size_t w0, std::size_t w1,
+                                             __m512i* h) {
+  for (std::size_t half = 0; half < 2; ++half) {
+    if (8 * half >= n) {
+      h[half] = _mm512_setzero_si512();
+      continue;
     }
+    __m512i c[8];
+    for (std::size_t r = 0; r < 8; ++r) {
+      c[r] = _mm512_setzero_si512();
+      if (8 * half + r >= n) continue;
+      const std::uint64_t* row = block + (8 * half + r) * words;
+      for (std::size_t w = w0; w < w1; w += 8)
+        c[r] = _mm512_add_epi64(
+            c[r], _mm512_popcnt_epi64(_mm512_xor_si512(load_words(row + w, w1 - w),
+                                                       load_words(query + w, w1 - w))));
+    }
+    h[half] = fold<8>(c);
   }
 }
 
-/// Rows wider than 8 words, same contract as scan_lanes. Each query
-/// re-reads the eight-row block from L1; the block comes from memory once.
-template <std::size_t NQ>
-HDCZSC_AVX512_HAMMING void scan_wide(const std::uint64_t* queries, const std::uint64_t* rows,
-                                     std::size_t n_rows, std::size_t words, std::uint32_t* out,
-                                     std::size_t stride) {
-  for (std::size_t i = 0; i < n_rows; i += 8) {
-    const std::size_t n = std::min<std::size_t>(8, n_rows - i);
-    for (std::size_t q = 0; q < NQ; ++q) {
-      const std::uint64_t* query = queries + q * words;
-      __m512i c[8];
-      for (std::size_t r = 0; r < 8; ++r) {
-        c[r] = _mm512_setzero_si512();
-        if (r >= n) continue;
-        const std::uint64_t* row = rows + (i + r) * words;
-        for (std::size_t w = 0; w < words; w += 8)
-          c[r] = _mm512_add_epi64(
-              c[r], _mm512_popcnt_epi64(_mm512_xor_si512(load_words(row + w, words - w),
-                                                         load_words(query + w, words - w))));
-      }
-      fold_store<8>(c, n, out + q * stride + i);
+/// Rows wider than 8 words: one block of n ≤ 16 rows from `block` against
+/// NQ queries, one query at a time (the block is re-read from L1; it comes
+/// from memory once). A sink with kEarlyTest has the block tested on its
+/// first register's counts, and skipped before the rest of its words are
+/// read. Inlined with n = 16 for every full block.
+template <std::size_t NQ, typename Sink>
+[[gnu::always_inline]] HDCZSC_AVX512_HAMMING inline void wide_block(
+    const std::uint64_t* queries, const std::uint64_t* block, std::size_t words, std::size_t i,
+    std::size_t n, Sink& sink, std::uint64_t& pruned) {
+  for (std::size_t q = 0; q < NQ; ++q) {
+    const std::uint64_t* query = queries + q * words;
+    __m512i h[2];
+    if constexpr (!Sink::kEarlyTest) {
+      count_wide(query, block, n, words, 0, words, h);
+    } else {
+      count_wide(query, block, n, words, 0, kTopkHeadWords, h);
+      if (!sink.open(q, i, n, h, pruned)) continue;
+      __m512i rest[2];
+      count_wide(query, block, n, words, kTopkHeadWords, words, rest);
+      h[0] = _mm512_add_epi64(h[0], rest[0]);
+      h[1] = _mm512_add_epi64(h[1], rest[1]);
     }
+    sink.take(q, i, n, h, pruned);
   }
+}
+
+/// Rows wider than 8 words, same contract as scan_lanes.
+template <std::size_t NQ, typename Sink>
+HDCZSC_AVX512_HAMMING std::uint64_t scan_wide(const std::uint64_t* queries,
+                                              const std::uint64_t* rows, std::size_t n_rows,
+                                              std::size_t words, Sink& sink) {
+  std::uint64_t pruned = 0;
+  std::size_t i = 0;
+  for (; i + kTopkBlock <= n_rows; i += kTopkBlock)
+    wide_block<NQ>(queries, rows + i * words, words, i, kTopkBlock, sink, pruned);
+  if (i < n_rows) wide_block<NQ>(queries, rows + i * words, words, i, n_rows - i, sink, pruned);
+  return pruned;
 }
 
 /// Widths the vector scans cover; every other width keeps the popcnt loop.
@@ -322,17 +547,40 @@ bool avx512_width(std::size_t words) {
 }
 
 /// One block of NQ ≤ 4 queries over all rows, dispatched on the width.
-template <std::size_t NQ>
-HDCZSC_AVX512_HAMMING void block_avx512(const std::uint64_t* queries, const std::uint64_t* rows,
-                                        std::size_t n_rows, std::size_t words,
-                                        std::uint32_t* out, std::size_t stride) {
+/// Returns the rows pruned.
+template <std::size_t NQ, typename Sink>
+HDCZSC_AVX512_HAMMING std::uint64_t block_avx512(const std::uint64_t* queries,
+                                                 const std::uint64_t* rows, std::size_t n_rows,
+                                                 std::size_t words, Sink& sink) {
   switch (words) {
-    case 1: return scan_lanes<1, NQ>(queries, rows, n_rows, out, stride);
-    case 2: return scan_lanes<2, NQ>(queries, rows, n_rows, out, stride);
-    case 4: return scan_lanes<4, NQ>(queries, rows, n_rows, out, stride);
-    case 8: return scan_lanes<8, NQ>(queries, rows, n_rows, out, stride);
-    default: return scan_wide<NQ>(queries, rows, n_rows, words, out, stride);
+    case 1: return scan_lanes<1, NQ>(queries, rows, n_rows, sink);
+    case 2: return scan_lanes<2, NQ>(queries, rows, n_rows, sink);
+    case 4: return scan_lanes<4, NQ>(queries, rows, n_rows, sink);
+    case 8: return scan_lanes<8, NQ>(queries, rows, n_rows, sink);
+    default: return scan_wide<NQ>(queries, rows, n_rows, words, sink);
   }
+}
+
+/// The batch in blocks of up to four queries; `sink_at(q)` is the sink of
+/// the block that starts at query q. Returns the rows pruned.
+template <typename SinkAt>
+HDCZSC_AVX512_HAMMING std::uint64_t query_blocks_avx512(const std::uint64_t* queries,
+                                                        std::size_t n_queries,
+                                                        const std::uint64_t* rows,
+                                                        std::size_t n_rows, std::size_t words,
+                                                        SinkAt&& sink_at) {
+  std::uint64_t pruned = 0;
+  for (std::size_t q = 0; q < n_queries; q += 4) {
+    const std::uint64_t* qs = queries + q * words;
+    auto& sink = sink_at(q);
+    switch (std::min<std::size_t>(4, n_queries - q)) {
+      case 1: pruned += block_avx512<1>(qs, rows, n_rows, words, sink); break;
+      case 2: pruned += block_avx512<2>(qs, rows, n_rows, words, sink); break;
+      case 3: pruned += block_avx512<3>(qs, rows, n_rows, words, sink); break;
+      default: pruned += block_avx512<4>(qs, rows, n_rows, words, sink); break;
+    }
+  }
+  return pruned;
 }
 
 HDCZSC_AVX512_HAMMING void hamming_rows_avx512(const std::uint64_t* query,
@@ -341,8 +589,8 @@ HDCZSC_AVX512_HAMMING void hamming_rows_avx512(const std::uint64_t* query,
                                                std::uint32_t* out) {
   if (!avx512_width(words))
     return hamming_rows_popcnt(query, rows, row_begin, row_end, words, out);
-  block_avx512<1>(query, rows + row_begin * words, row_end - row_begin, words, out + row_begin,
-                  0);
+  StoreCounts sink{out + row_begin, 0};
+  block_avx512<1>(query, rows + row_begin * words, row_end - row_begin, words, sink);
 }
 
 HDCZSC_AVX512_HAMMING void hamming_multi_avx512(const std::uint64_t* queries,
@@ -351,16 +599,27 @@ HDCZSC_AVX512_HAMMING void hamming_multi_avx512(const std::uint64_t* queries,
                                                 std::uint32_t* out) {
   if (!avx512_width(words))
     return hamming_multi_popcnt(queries, n_queries, rows, n_rows, words, out);
-  for (std::size_t q = 0; q < n_queries; q += 4) {
-    const std::uint64_t* qs = queries + q * words;
-    std::uint32_t* o = out + q * n_rows;
-    switch (std::min<std::size_t>(4, n_queries - q)) {
-      case 1: block_avx512<1>(qs, rows, n_rows, words, o, n_rows); break;
-      case 2: block_avx512<2>(qs, rows, n_rows, words, o, n_rows); break;
-      case 3: block_avx512<3>(qs, rows, n_rows, words, o, n_rows); break;
-      default: block_avx512<4>(qs, rows, n_rows, words, o, n_rows); break;
-    }
-  }
+  StoreCounts sink{out, n_rows};
+  query_blocks_avx512(queries, n_queries, rows, n_rows, words, [&](std::size_t q) -> auto& {
+    sink.out = out + q * n_rows;
+    return sink;
+  });
+}
+
+HDCZSC_AVX512_HAMMING std::uint64_t hamming_topk_avx512(const std::uint64_t* queries,
+                                                        std::size_t n_queries,
+                                                        const std::uint64_t* rows,
+                                                        std::size_t n_rows, std::size_t words,
+                                                        const RowLabels& labels,
+                                                        HammingTopK* heaps) {
+  if (!avx512_width(words))
+    return hamming_topk_popcnt(queries, n_queries, rows, n_rows, words, labels, heaps);
+  SelectTopk sink{labels, heaps};
+  return query_blocks_avx512(queries, n_queries, rows, n_rows, words,
+                             [&](std::size_t q) -> auto& {
+                               sink.heaps = heaps + q;
+                               return sink;
+                             });
 }
 
 bool cpu_has_avx512_popcnt() {
@@ -374,10 +633,14 @@ using HammingRowsFn = void (*)(const std::uint64_t*, const std::uint64_t*, std::
                                std::size_t, std::size_t, std::uint32_t*);
 using HammingMultiFn = void (*)(const std::uint64_t*, std::size_t, const std::uint64_t*,
                                 std::size_t, std::size_t, std::uint32_t*);
+using HammingTopkFn = std::uint64_t (*)(const std::uint64_t*, std::size_t, const std::uint64_t*,
+                                        std::size_t, std::size_t, const RowLabels&,
+                                        HammingTopK*);
 
 struct HammingKernels {
   HammingRowsFn rows;
   HammingMultiFn multi;
+  HammingTopkFn topk;
   const char* name;
 };
 
@@ -385,11 +648,11 @@ HammingKernels pick_hamming_kernels() {
 #if defined(HDCZSC_HAMMING_X86_DISPATCH)
   __builtin_cpu_init();
   if (cpu_has_avx512_popcnt())
-    return {hamming_rows_avx512, hamming_multi_avx512, "avx512"};
+    return {hamming_rows_avx512, hamming_multi_avx512, hamming_topk_avx512, "avx512"};
   if (__builtin_cpu_supports("popcnt"))
-    return {hamming_rows_popcnt, hamming_multi_popcnt, "popcnt"};
+    return {hamming_rows_popcnt, hamming_multi_popcnt, hamming_topk_popcnt, "popcnt"};
 #endif
-  return {hamming_rows_portable, hamming_multi_portable, "portable"};
+  return {hamming_rows_portable, hamming_multi_portable, hamming_topk_portable, "portable"};
 }
 
 /// Current selection — runtime-dispatched once, overridable via
@@ -411,16 +674,19 @@ bool set_hamming_kernel(const char* name) {
     return true;
   }
   if (want == "portable") {
-    hamming_kernels() = {hamming_rows_portable, hamming_multi_portable, "portable"};
+    hamming_kernels() = {hamming_rows_portable, hamming_multi_portable, hamming_topk_portable,
+                         "portable"};
     return true;
   }
 #if defined(HDCZSC_HAMMING_X86_DISPATCH)
   if (want == "popcnt" && __builtin_cpu_supports("popcnt")) {
-    hamming_kernels() = {hamming_rows_popcnt, hamming_multi_popcnt, "popcnt"};
+    hamming_kernels() = {hamming_rows_popcnt, hamming_multi_popcnt, hamming_topk_popcnt,
+                         "popcnt"};
     return true;
   }
   if (want == "avx512" && cpu_has_avx512_popcnt()) {
-    hamming_kernels() = {hamming_rows_avx512, hamming_multi_avx512, "avx512"};
+    hamming_kernels() = {hamming_rows_avx512, hamming_multi_avx512, hamming_topk_avx512,
+                         "avx512"};
     return true;
   }
 #endif
@@ -429,8 +695,8 @@ bool set_hamming_kernel(const char* name) {
 
 namespace {
 /// Profiling hook (obs::set_profiling_enabled): wall time of each top-level
-/// packed-Hamming scan, single- and multi-query alike. With profiling off
-/// the ScopedTimer reads no clock.
+/// packed-Hamming scan: single-query, multi-query and fused top-k alike.
+/// With profiling off the ScopedTimer reads no clock.
 obs::Histogram* hamming_hist() {
   static const std::shared_ptr<obs::Histogram> h = obs::default_registry().histogram(
       "hdc_hamming_scan_ms", {}, "wall time of one packed-Hamming prototype scan");
@@ -443,6 +709,14 @@ void hamming_many_packed_multi(const std::uint64_t* queries, std::size_t n_queri
                                std::size_t words, std::uint32_t* out) {
   const obs::ScopedTimer profile(hamming_hist());
   hamming_kernels().multi(queries, n_queries, rows, n_rows, words, out);
+}
+
+std::uint64_t hamming_topk_packed(const std::uint64_t* queries, std::size_t n_queries,
+                                  const std::uint64_t* rows, std::size_t n_rows,
+                                  std::size_t words, const RowLabels& labels,
+                                  HammingTopK* heaps) {
+  const obs::ScopedTimer profile(hamming_hist());
+  return hamming_kernels().topk(queries, n_queries, rows, n_rows, words, labels, heaps);
 }
 
 void hamming_many_packed(const std::uint64_t* query, const std::uint64_t* rows,

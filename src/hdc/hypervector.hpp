@@ -13,6 +13,7 @@
 // vectors, similarity equivalence) are covered by tests/test_hdc.cpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -156,20 +157,111 @@ void hamming_many_packed(const std::uint64_t* query, const std::uint64_t* rows,
                          std::size_t n_rows, std::size_t words, std::uint32_t* out);
 
 /// Query-blocked variant: out[q*n_rows + i] = popcount(queries[q] ^ rows[i])
-/// for n_queries packed queries laid out contiguously (`words` each) — the
-/// memory-amortized form the sharded store's scatter uses to sweep a shard
-/// with a whole batch (serve/sharded_store.hpp). The popcnt and portable
-/// variants read each row once per full 4-query block, down one popcount
-/// chain per query, and once more per leftover query. The avx512 variant
-/// takes the queries in blocks of up to four and reads each row once per
-/// block, so a batch of 1–4 queries streams the rows once; it scores eight
-/// rows at a time with VPOPCNTQ, laid out by width: 1, 2, 4 or 8 words per
-/// row as rows in lanes, wider rows one register per row. Widths 3, 5, 6
-/// and 7 take the popcnt variant whole. Always runs on the calling thread;
-/// callers parallelize across shards, not inside the sweep.
+/// for n_queries packed queries laid out contiguously (`words` each). Every
+/// count goes to memory, so it serves callers that need them all: the
+/// sharded store's float-domain selection (a subtract-form GZSL penalty)
+/// and throughput probes. Top-k callers use hamming_topk_packed, which
+/// selects while the counts are still in registers. The popcnt and
+/// portable variants read each row once per full 4-query block, down one
+/// popcount chain per query, and once more per leftover query. The avx512
+/// variant takes the queries in blocks of up to four and reads each row
+/// once per block, so a batch of 1–4 queries streams the rows once; it
+/// scores sixteen rows at a time with VPOPCNTQ, laid out by width: 1, 2, 4
+/// or 8 words per row as rows in lanes, wider rows one register per row.
+/// Widths 3, 5, 6 and 7 take the popcnt variant whole. Always runs on the
+/// calling thread; callers parallelize across shards, not inside the sweep.
 void hamming_many_packed_multi(const std::uint64_t* queries, std::size_t n_queries,
                                const std::uint64_t* rows, std::size_t n_rows,
                                std::size_t words, std::uint32_t* out);
+
+// -- fused scan-and-select ---------------------------------------------------
+// The binary top-k paths (the sharded exact scan and the IVF list scans in
+// serve/) never need a row's Hamming count once it cannot enter the top-k.
+// hamming_topk_packed scores a block of rows, tests the counts against each
+// query's heap threshold while they are still in registers, and offers only
+// the rows that can enter.
+
+/// k-bounded selection in the integer Hamming key domain over caller-owned
+/// storage: candidates are packed (h << 32) | label keys, so the retrieval
+/// order (h asc, label asc) is a single u64 compare and a miss costs one
+/// predictable compare. A max-heap keeps the worst kept key on top.
+class HammingTopK {
+ public:
+  /// `bound` is a cutoff hint: a key known to have at least k better keys
+  /// elsewhere (another shard's k-th best). Keys at or above it are dropped
+  /// before touching the heap. Keys are unique (the label is in the low
+  /// bits), so `>=` never discards a genuine tie. k must be at least 1.
+  HammingTopK(std::uint64_t* slot, std::size_t k, std::uint64_t bound = ~std::uint64_t{0})
+      : slot_(slot), k_(k), bound_(bound) {}
+
+  void offer(std::uint32_t h, std::size_t label) {
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(h) << 32) | static_cast<std::uint64_t>(label);
+    if (key >= bound_) return;  // cutoff miss: the common case
+    if (n_ < k_) {
+      slot_[n_++] = key;
+      std::push_heap(slot_, slot_ + n_);
+      if (n_ == k_) bound_ = std::min(bound_, slot_[0]);
+      return;
+    }
+    std::pop_heap(slot_, slot_ + n_);
+    slot_[n_ - 1] = key;
+    std::push_heap(slot_, slot_ + n_);
+    bound_ = std::min(bound_, slot_[0]);
+  }
+
+  /// Keys kept so far, in slot[0, size()), heap-ordered.
+  std::size_t size() const { return n_; }
+  /// The local k-th best key once full, else all ones (the sharded scan
+  /// publishes it as the next shard's starting bound).
+  std::uint64_t cutoff() const { return n_ == k_ ? slot_[0] : ~std::uint64_t{0}; }
+  /// Block-test threshold in the Hamming domain: a count strictly above it
+  /// cannot enter (equal counts may, via the label bits). Because further
+  /// words only add to a count, a partial count above it already rules the
+  /// row out; that is what makes the kernel's early test admissible.
+  std::uint32_t threshold() const { return static_cast<std::uint32_t>(bound_ >> 32); }
+
+ private:
+  std::uint64_t* slot_;
+  std::size_t k_;
+  std::size_t n_ = 0;
+  std::uint64_t bound_;
+};
+
+/// Rows per block of hamming_topk_packed's block test.
+inline constexpr std::size_t kTopkBlock = 16;
+/// Rows wider than this many words get the block test on their first
+/// register (these words) before the rest of the row is read.
+inline constexpr std::size_t kTopkHeadWords = 8;
+
+/// Where a fused scan's rows get their labels and GZSL offsets.
+struct RowLabels {
+  /// Row i's label is ids[i] when set (an IVF list's row ids), else first + i.
+  const std::uint32_t* ids = nullptr;
+  std::size_t first = 0;
+  /// Per-label integer handicap Δ, indexed by label: a row competes as
+  /// h + Δ. Null for none.
+  const std::uint32_t* offsets = nullptr;
+};
+
+/// Fused scan and select. For each query q of n_queries (laid out
+/// contiguously, `words` each), offers every row's key
+/// ((popcount(queries[q] ^ rows[i]) + Δ) << 32 | label) that can enter
+/// heaps[q], under one block rule every variant shares: rows go in blocks
+/// of kTopkBlock, the threshold is sampled once per block, a full block
+/// whose every count is above it is skipped and counted as pruned, and in
+/// any other block the rows at or below it are offered in row order. The
+/// last n_rows % kTopkBlock rows are never counted as pruned. Rows wider
+/// than kTopkHeadWords words are tested on their first kTopkHeadWords words
+/// first; a block that fails there is skipped unread, and counts as pruned
+/// exactly when the full-count test would have pruned it. So the kept keys
+/// and the returned count (pruned rows summed over queries) are the same
+/// on every variant. Queries go in blocks of up to four, each row read
+/// once per block. Runs on the calling thread.
+std::uint64_t hamming_topk_packed(const std::uint64_t* queries, std::size_t n_queries,
+                                  const std::uint64_t* rows, std::size_t n_rows,
+                                  std::size_t words, const RowLabels& labels,
+                                  HammingTopK* heaps);
 
 /// Convenience overload over BinaryHV prototypes; every prototype must share
 /// the query's dimensionality.

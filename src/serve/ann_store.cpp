@@ -18,7 +18,6 @@ namespace hdczsc::serve {
 namespace {
 
 using detail::BinaryScoreRule;
-using detail::BoundedTopKHamming;
 using BoundedTopKFloat = detail::BoundedTopK<TopK>;
 
 /// Rows per k-means assignment chunk: bounds the gathered-row and dot
@@ -30,126 +29,46 @@ constexpr std::size_t kAssignChunk = 1024;
 /// kRescoreChunk·d floats however many rows a probe covers.
 constexpr std::size_t kRescoreChunk = 512;
 
-/// Automatic early-exit split: score a quarter of the words up front, keep
-/// the early exit off for codes too narrow for a meaningful prefix (the
-/// prune test would cost more than the skipped words).
-std::size_t auto_prefix_words(std::size_t words_per_row) {
-  return words_per_row <= 2 ? words_per_row
-                            : std::max<std::size_t>(1, words_per_row / 4);
-}
-
-/// Per-query scratch for the probed-list scans, sized to the longest
-/// inverted list so every list reuses the same three blocks.
-struct ScanScratch {
-  std::vector<std::uint32_t> hpre;       // batched prefix Hamming counts
-  std::vector<std::uint32_t> hsuf;       // batched suffix counts (dense pass)
-  std::vector<std::uint32_t> survivors;  // in-list indices that beat the bound
-  explicit ScanScratch(std::size_t max_list)
-      : hpre(max_list), hsuf(max_list), survivors(max_list) {}
-};
-
-/// One query's early-exit sweep over the probed lists in the integer key
-/// domain — shared by the IVF binary path and the cascade prefilter. Per
-/// list: one batched popcount sweep over the contiguous prefix block, the
-/// admissible prune against the heap threshold (a prefix count above it
-/// cannot complete to a kept key, the suffix only adds; equality survives
-/// for the label tie-break), then a suffix pass over the survivors.
-///
-/// The suffix pass is adaptive: a dense survivor set (prune barely firing,
-/// the common case when the heap bound sits among cluster-mates) takes one
-/// batched sweep over the list's whole contiguous suffix block, amortizing
-/// the kernel dispatch that a row-at-a-time loop pays per survivor; a
-/// sparse set reads only the survivors' suffix words, re-testing against
-/// the live bound as it tightens. Either way the offered keys are
-/// identical — the heap drops anything at or above its bound — so the
-/// choice moves scan cost only, never results.
-///
-/// Kept out of line: inlined into its one caller's per-query body, GCC
-/// schedules the list loop measurably worse (bench_ann_retrieval's cascade
-/// at the serving defaults).
-[[gnu::noinline]] void scan_probed_lists(const std::uint64_t* qw, const std::vector<std::uint32_t>& probes,
+/// One query's fused scan over the probed lists in the integer key domain,
+/// shared by the IVF binary path and the cascade prefilter: one
+/// hdc::hamming_topk_packed call per list over its slice of the
+/// list-ordered code plane, labels and GZSL offsets looked up through the
+/// list's row ids. The kernel's block rule is the sharded scan's, so
+/// `pruned` counts what serve_shard_rows_pruned_total counts.
+void scan_probed_lists(const std::uint64_t* qw, const std::vector<std::uint32_t>& probes,
                        const std::vector<std::size_t>& list_offsets,
                        const std::vector<std::uint32_t>& list_rows,
-                       const std::vector<std::uint64_t>& codes_prefix,
-                       const std::vector<std::uint64_t>& codes_suffix, std::size_t wp,
-                       std::size_t ws, const std::uint32_t* row_offset,
-                       BoundedTopKHamming& heap, ScanScratch& scratch, std::uint64_t& swept,
-                       std::uint64_t& pruned) {
-  std::uint32_t* hpre = scratch.hpre.data();
-  std::uint32_t* hsuf = scratch.hsuf.data();
-  std::uint32_t* survivors = scratch.survivors.data();
+                       const std::vector<std::uint64_t>& codes, std::size_t words,
+                       const std::uint32_t* row_offset, hdc::HammingTopK& heap,
+                       std::uint64_t& swept, std::uint64_t& pruned) {
   for (std::uint32_t c : probes) {
     const std::size_t off = list_offsets[c];
     const std::size_t len = list_offsets[c + 1] - off;
     if (len == 0) continue;
     swept += len;
-    hdc::hamming_many_packed(qw, codes_prefix.data() + off * wp, len, wp, hpre);
-    if (row_offset) {
-      // Fold the GZSL handicap into the prefix counts up front: the prune
-      // bound, the heap keys and the score conversion then all see one
-      // consistent h + Δ integer domain.
-      for (std::size_t i = 0; i < len; ++i) hpre[i] += row_offset[list_rows[off + i]];
-    }
-    const std::uint32_t t0 = heap.threshold();
-    std::size_t n_sur = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      if (hpre[i] > t0)
-        ++pruned;
-      else
-        survivors[n_sur++] = static_cast<std::uint32_t>(i);
-    }
-    if (n_sur == 0) continue;
-    if (ws == 0) {
-      for (std::size_t s = 0; s < n_sur; ++s) {
-        const std::uint32_t i = survivors[s];
-        heap.offer(hpre[i], list_rows[off + i]);
-      }
-    } else if (3 * n_sur > len) {
-      hdc::hamming_many_packed(qw + wp, codes_suffix.data() + off * ws, len, ws, hsuf);
-      for (std::size_t s = 0; s < n_sur; ++s) {
-        const std::uint32_t i = survivors[s];
-        heap.offer(hpre[i] + hsuf[i], list_rows[off + i]);
-      }
-    } else {
-      for (std::size_t s = 0; s < n_sur; ++s) {
-        const std::uint32_t i = survivors[s];
-        // The bound keeps tightening as rows land; re-test before paying
-        // for this row's suffix words.
-        if (hpre[i] > heap.threshold()) {
-          ++pruned;
-          continue;
-        }
-        std::uint32_t hs = 0;
-        hdc::hamming_many_packed(qw + wp, codes_suffix.data() + (off + i) * ws, 1, ws, &hs);
-        heap.offer(hpre[i] + hs, list_rows[off + i]);
-      }
-    }
+    pruned += hdc::hamming_topk_packed(qw, 1, codes.data() + off * words, len, words,
+                                       {list_rows.data() + off, 0, row_offset}, &heap);
   }
 }
 
-/// Full-width variant for the float-domain fallbacks: no admissible bound
-/// exists there, every row's complete count is needed, so the suffix sweep
-/// is always batched. Calls `emit(global_row, h)` per row in list order.
+/// Full-count variant for the float-domain fallbacks: no admissible bound
+/// exists there, so every row's count is needed. Calls `emit(global_row,
+/// h)` per row in list order.
 template <typename Emit>
 void scan_probed_lists_full(const std::uint64_t* qw, const std::vector<std::uint32_t>& probes,
                             const std::vector<std::size_t>& list_offsets,
                             const std::vector<std::uint32_t>& list_rows,
-                            const std::vector<std::uint64_t>& codes_prefix,
-                            const std::vector<std::uint64_t>& codes_suffix, std::size_t wp,
-                            std::size_t ws, ScanScratch& scratch, std::uint64_t& swept,
-                            Emit&& emit) {
-  std::uint32_t* hpre = scratch.hpre.data();
-  std::uint32_t* hsuf = scratch.hsuf.data();
+                            const std::vector<std::uint64_t>& codes, std::size_t words,
+                            std::uint64_t& swept, Emit&& emit) {
+  std::vector<std::uint32_t> h;
   for (std::uint32_t c : probes) {
     const std::size_t off = list_offsets[c];
     const std::size_t len = list_offsets[c + 1] - off;
     if (len == 0) continue;
     swept += len;
-    hdc::hamming_many_packed(qw, codes_prefix.data() + off * wp, len, wp, hpre);
-    if (ws)
-      hdc::hamming_many_packed(qw + wp, codes_suffix.data() + off * ws, len, ws, hsuf);
-    for (std::size_t i = 0; i < len; ++i)
-      emit(list_rows[off + i], ws ? hpre[i] + hsuf[i] : hpre[i]);
+    h.resize(std::max(h.size(), len));
+    hdc::hamming_many_packed(qw, codes.data() + off * words, len, words, h.data());
+    for (std::size_t i = 0; i < len; ++i) emit(list_rows[off + i], h[i]);
   }
 }
 
@@ -163,13 +82,13 @@ obs::Counter& ivf_centroids_probed_total() {
 }
 obs::Counter& ivf_rows_swept_total() {
   static const std::shared_ptr<obs::Counter> c = obs::default_registry().counter(
-      "serve_ivf_rows_swept_total", {}, "prototype rows prefix-scored by IVF scans");
+      "serve_ivf_rows_swept_total", {}, "prototype rows scored by IVF list scans");
   return *c;
 }
 obs::Counter& ivf_rows_pruned_total() {
   static const std::shared_ptr<obs::Counter> c = obs::default_registry().counter(
       "serve_ivf_rows_pruned_total", {},
-      "rows early-exited by the Hamming prefix bound before their suffix was read");
+      "rows skipped wholesale by the heap-cutoff block test of IVF list scans");
   return *c;
 }
 obs::Counter& ivf_rows_reranked_total() {
@@ -290,7 +209,6 @@ IvfIndex::IvfIndex(const PrototypeStore& base, std::size_t n_centroids, std::siz
 
   assignments_.resize(rows);
   assign_nearest_centroids(centroids_, P, nullptr, rows, assignments_.data());
-  prefix_words_ = auto_prefix_words(base.words_per_row());
   build_lists();
 }
 
@@ -313,7 +231,6 @@ IvfIndex IvfIndex::from_parts(const PrototypeStore& base, tensor::Tensor centroi
   idx.base_ = &base;
   idx.centroids_ = std::move(centroids);
   idx.assignments_ = std::move(assignments);
-  idx.prefix_words_ = auto_prefix_words(base.words_per_row());
   idx.build_lists();
   return idx;
 }
@@ -337,31 +254,14 @@ void IvfIndex::build_lists() {
   std::vector<std::size_t> cursor(list_offsets_.begin(), list_offsets_.end() - 1);
   for (std::size_t r = 0; r < rows; ++r)
     list_rows_[cursor[assignments_[r]]++] = static_cast<std::uint32_t>(r);
-  max_list_ = 0;
-  for (std::size_t c = 0; c < cc; ++c) max_list_ = std::max(max_list_, counts[c]);
-  repack_codes();
-}
 
-void IvfIndex::repack_codes() {
-  const std::size_t rows = base_->n_classes();
+  // The codes in list order: each list's rows are one contiguous slice.
   const std::size_t wpr = base_->words_per_row();
-  const std::size_t wp = prefix_words_;
-  const std::size_t ws = wpr - wp;
   const std::uint64_t* packed = base_->packed_data();
-  codes_prefix_.resize(rows * wp);
-  codes_suffix_.resize(rows * ws);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const std::uint64_t* src = packed + list_rows_[i] * wpr;
-    std::copy(src, src + wp, codes_prefix_.data() + i * wp);
-    if (ws) std::copy(src + wp, src + wpr, codes_suffix_.data() + i * ws);
-  }
-}
-
-void IvfIndex::set_prefix_words(std::size_t words) {
-  const std::size_t wpr = base_->words_per_row();
-  prefix_words_ =
-      words == 0 ? auto_prefix_words(wpr) : std::clamp<std::size_t>(words, 1, wpr);
-  repack_codes();
+  codes_.resize(rows * wpr);
+  for (std::size_t i = 0; i < rows; ++i)
+    std::copy(packed + list_rows_[i] * wpr, packed + (list_rows_[i] + 1) * wpr,
+              codes_.data() + i * wpr);
 }
 
 std::size_t IvfIndex::resolve_nprobe(std::size_t nprobe) const {
@@ -423,8 +323,6 @@ std::vector<std::vector<TopK>> IvfIndex::search(const tensor::Tensor& embeddings
   const std::size_t cc = n_centroids();
   const std::size_t np = resolve_nprobe(nprobe);
   const std::size_t wpr = base_->words_per_row();
-  const std::size_t wp = prefix_words_;
-  const std::size_t ws = wpr - wp;
   const float scale = base_->scale();
   const std::size_t kk = std::min(k, n_rows());
   // The float stage applies any handicap in subtract form. The binary scan
@@ -475,27 +373,24 @@ std::vector<std::vector<TopK>> IvfIndex::search(const tensor::Tensor& embeddings
         std::uint64_t swept = 0, pruned = 0;
         std::vector<TopK> hits;  // the scan's survivors, as binary hits
         if (scan) {
-          ScanScratch scratch(max_list_);
           if (rule.integer_keys) {
-            // Early-exit scan on integer keys; ascending keys are the
-            // (score desc, label asc) order under the score rule.
+            // Fused scan on integer keys; ascending keys are the (score
+            // desc, label asc) order under the score rule.
             std::vector<std::uint64_t> keys(budget);
-            BoundedTopKHamming heap(keys.data(), budget, ~std::uint64_t{0});
-            scan_probed_lists(qw, probes, list_offsets_, list_rows_, codes_prefix_,
-                              codes_suffix_, wp, ws, rule.row_offset, heap, scratch, swept,
-                              pruned);
+            hdc::HammingTopK heap(keys.data(), budget);
+            scan_probed_lists(qw, probes, list_offsets_, list_rows_, codes_, wpr, rule.row_offset,
+                              heap, swept, pruned);
             keys.resize(heap.size());
             if (plan == Plan::kBinary) std::sort(keys.begin(), keys.end());
             hits.reserve(keys.size());
             for (std::uint64_t key : keys) hits.push_back(rule.hit(key));
           } else {
             // Float domain (see BinaryScoreRule): no admissible integer
-            // bound to prune on, so a full-width scan, then the same
+            // bound to prune on, so every row's full count, then the same
             // subtract-form scores the exact path selects on.
             hits.resize(budget);
             BoundedTopKFloat heap(hits.data(), budget);
-            scan_probed_lists_full(qw, probes, list_offsets_, list_rows_, codes_prefix_,
-                                   codes_suffix_, wp, ws, scratch, swept,
+            scan_probed_lists_full(qw, probes, list_offsets_, list_rows_, codes_, wpr, swept,
                                    [&](std::uint32_t row, std::uint32_t h) {
                                      heap.offer(TopK{row, rule.score(h, row)});
                                    });

@@ -1,5 +1,6 @@
-// Approximate retrieval tier: IVF coarse probing + Hamming early-exit +
-// binary→float rerank cascade over a frozen PrototypeStore.
+// Approximate retrieval tier: IVF coarse probing + fused Hamming
+// scan-and-select + binary→float rerank cascade over a frozen
+// PrototypeStore.
 //
 // The exact sharded scatter/gather (sharded_store.hpp) sweeps every packed
 // prototype row per query — cost linear in the label space C. At
@@ -16,15 +17,17 @@
 //     Hamming over packed centroid codes for binary queries) and scans only
 //     those lists: the swept fraction is ~nprobe/Cc.
 //
-//  2. Hamming early-exit — each list's codes are split into a word *prefix*
-//     block and a *suffix* block. The prefix Hamming count of every row is
-//     computed with the batched popcount kernel; since the suffix can only
-//     add to the count, a row whose prefix count (plus its GZSL integer
-//     offset) already exceeds the current k-heap threshold can never enter
-//     the top-k, and its suffix words are never read. The prune reuses the
-//     exact path's block-skip machinery (topk_select.hpp), so it is
-//     *admissible*: with nprobe == Cc the result is bit-identical to the
-//     exact sharded top-k, early exit and all.
+//  2. Fused Hamming scan-and-select — each probed list is one contiguous
+//     slice of a full-width, list-ordered code plane, scanned by the kernel
+//     the exact sharded scan runs (hdc::hamming_topk_packed). It scores 16
+//     rows at a time, folds in the rows' GZSL integer offsets (looked up
+//     through the list's row ids), and tests the counts against the heap
+//     threshold while they are in registers: a block none of whose rows
+//     can enter is skipped, and only rows that can enter are offered. For
+//     rows wider than 8 words the test runs on the first register before
+//     the rest of the row is read (further words only add to a count). The
+//     test is *admissible*: with nprobe == Cc the result is bit-identical
+//     to the exact sharded top-k.
 //
 //  3. Binary-prefilter → float-rerank cascade — the top rerank·k binary
 //     candidates from the probed lists are re-scored in float through the
@@ -42,8 +45,7 @@
 // (topk_select.hpp) score_binary and the sharded scan use, GZSL
 // seen-penalties applied identically (integer Hamming offsets where exact,
 // float subtract form otherwise). Thread-safe after construction
-// (telemetry is atomic); the set_prefix_words test hook is the one
-// non-const exception.
+// (telemetry is atomic).
 #pragma once
 
 #include <algorithm>
@@ -122,19 +124,10 @@ class IvfIndex {
   }
 
   /// The nprobe an `nprobe == 0` request resolves to: Cc/8, at least 1 —
-  /// scan ~1/8 of the label space before early exit trims further.
+  /// scan ~1/8 of the label space before the block test trims further.
   std::size_t default_nprobe() const { return std::max<std::size_t>(1, n_centroids() / 8); }
   /// Resolve a caller nprobe: 0 → default_nprobe(), clamped to [1, Cc].
   std::size_t resolve_nprobe(std::size_t nprobe) const;
-
-  /// Early-exit split: how many leading words of each packed row the
-  /// prefix pass scores before the prune test. In [1, words_per_row];
-  /// == words_per_row disables the early exit (one full-width pass).
-  std::size_t prefix_words() const { return prefix_words_; }
-  /// Test/diagnostics hook: repack the list codes under a different split
-  /// (0 = the automatic choice). NOT thread-safe — call before serving,
-  /// never concurrently with a scan.
-  void set_prefix_words(std::size_t words);
 
   /// IVF top-k on the float-cosine path: probe `nprobe` centroids by float
   /// dot, score every row of the probed lists through the GEMM the exact
@@ -148,19 +141,19 @@ class IvfIndex {
                                             const SeenPenalty* penalty = nullptr) const;
 
   /// IVF top-k on the binary-Hamming path: probe by centroid-code Hamming,
-  /// then the prefix/early-exit scan over the probed lists' packed codes,
-  /// selecting in the integer key domain exactly as the exact sharded scan
-  /// does (same integer-exactness preconditions; pathological widths and
-  /// non-integer GZSL handicaps take a full-width float-domain scan). With
+  /// then the fused scan-and-select over the probed lists' packed codes,
+  /// selecting in the integer key domain with the exact sharded scan's
+  /// kernel (same integer-exactness preconditions; pathological widths and
+  /// non-integer GZSL handicaps take a full-count float-domain scan). With
   /// nprobe == Cc the result is bit-identical to
-  /// ShardedPrototypeStore::topk_binary — the early exit is admissible and
+  /// ShardedPrototypeStore::topk_binary — the block test is admissible and
   /// never drops a true top-k row.
   std::vector<std::vector<TopK>> topk_binary(const tensor::Tensor& embeddings, std::size_t k,
                                              std::size_t nprobe,
                                              const SeenPenalty* penalty = nullptr) const;
 
   /// Cascade: binary-prefilter the probed lists down to rerank·k candidate
-  /// rows (early-exit scan, integer keys), then re-score those candidates
+  /// rows (fused scan, integer keys), then re-score those candidates
   /// in float as topk_float scores rows and select the final k. rerank == 0
   /// means unbounded — every probed row is reranked — so nprobe == Cc +
   /// rerank == 0 degenerates to the exact float top-k. GZSL handicaps:
@@ -176,9 +169,13 @@ class IvfIndex {
   struct ProbeStats {
     std::uint64_t queries = 0;           ///< single-query probes served
     std::uint64_t centroids_probed = 0;  ///< inverted lists opened
-    std::uint64_t rows_swept = 0;        ///< rows whose prefix was scored
-    std::uint64_t rows_pruned = 0;       ///< rows early-exited before their
-                                         ///< suffix words were read
+    std::uint64_t rows_swept = 0;        ///< rows of the probed lists scanned
+    /// Rows skipped wholesale by the fused scan's 16-row block test (a
+    /// subset of swept; ShardedPrototypeStore::ShardInfo::rows_pruned's
+    /// definition): full blocks of a list none of whose rows could enter
+    /// the heap. A list's last len % 16 rows never count. Float-domain
+    /// scans and the float plan prune nothing.
+    std::uint64_t rows_pruned = 0;
     std::uint64_t rows_reranked = 0;     ///< cascade float re-scores
   };
   ProbeStats probe_stats() const;
@@ -186,11 +183,9 @@ class IvfIndex {
  private:
   IvfIndex() = default;  // used by from_parts
 
-  /// Derive list offsets/rows from assignments_ and repack the codes.
+  /// Derive list offsets/rows from assignments_ and lay the codes out in
+  /// list order.
   void build_lists();
-  /// Split every list row's packed words into the contiguous prefix/suffix
-  /// blocks under prefix_words_.
-  void repack_codes();
   /// Probed-centroid ids for one query, nearest first: float-dot order for
   /// the float/cascade paths, centroid-code Hamming order for binary.
   std::vector<std::uint32_t> probe_float(const float* dots, std::size_t nprobe) const;
@@ -200,7 +195,7 @@ class IvfIndex {
   /// What a top-k call runs through the one pipeline: probe → candidates →
   /// score.
   ///   kFloat    float probe; every probed row is a candidate; float scores.
-  ///   kBinary   binary probe; the early-exit scan keeps k candidates,
+  ///   kBinary   binary probe; the fused scan keeps k candidates,
   ///             which are the binary hits.
   ///   kCascade  float probe; the scan keeps rerank·k candidates (every
   ///             probed row when that budget covers them); float rerank.
@@ -215,10 +210,7 @@ class IvfIndex {
   std::vector<std::uint32_t> assignments_;      // [C], row -> centroid
   std::vector<std::size_t> list_offsets_;       // [Cc + 1] into list_rows_
   std::vector<std::uint32_t> list_rows_;        // [C], row ids grouped by list
-  std::vector<std::uint64_t> codes_prefix_;     // [C * prefix_words_], list order
-  std::vector<std::uint64_t> codes_suffix_;     // [C * suffix words], list order
-  std::size_t prefix_words_ = 0;
-  std::size_t max_list_ = 0;  // longest list (scan scratch sizing)
+  std::vector<std::uint64_t> codes_;            // [C * words_per_row], list order
 
   /// Telemetry, behind a pointer so the index stays movable (from_parts
   /// returns it by value). A few relaxed fetch_adds per query.

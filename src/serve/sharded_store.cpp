@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "hdc/hypervector.hpp"
 #include "obs/metrics.hpp"
 #include "serve/topk_select.hpp"
 #include "tensor/gemm.hpp"
@@ -14,14 +15,13 @@ namespace hdczsc::serve {
 namespace {
 
 // Selection primitives and the binary score rule shared with the flat
-// scans and the approximate tier (topk_select.hpp): same (score desc,
-// label asc) order, same block-skip thresholds, same integer-key Hamming
-// domain — the basis of the exact/approximate bit-identity properties in
-// tests/test_ann_retrieval.cpp.
+// scans and the approximate tier (topk_select.hpp, and the fused Hamming
+// kernel in hdc/): same (score desc, label asc) order, same block-skip
+// thresholds, same integer-key Hamming domain — the basis of the
+// exact/approximate bit-identity properties in tests/test_ann_retrieval.cpp.
 using detail::kSelectBlock;
 using BoundedTopK = detail::BoundedTopK<TopK>;
 using detail::BinaryScoreRule;
-using detail::BoundedTopKHamming;
 
 /// Process-wide scan telemetry in obs::default_registry(): per-shard scan
 /// wall time (profiling-gated, see obs::ScopedTimer) and swept/pruned row
@@ -66,26 +66,6 @@ std::uint64_t select_float(const float* row, std::size_t rows, std::size_t first
       heap.offer(TopK{first_label + i + j, row[i + j]});
   }
   for (; i < rows; ++i) heap.offer(TopK{first_label + i, row[i]});
-  return pruned;
-}
-
-/// The integer-key selection loop: the same block skip over one query's
-/// (handicap-folded) Hamming counts, against the heap's Hamming threshold.
-std::uint64_t select_hamming(const std::uint32_t* hb, std::size_t rows,
-                             std::size_t first_label, BoundedTopKHamming& heap) {
-  std::uint64_t pruned = 0;
-  std::size_t i = 0;
-  for (; i + kSelectBlock <= rows; i += kSelectBlock) {
-    const std::uint32_t t = heap.threshold();
-    std::uint32_t any = 0;
-    for (std::size_t j = 0; j < kSelectBlock; ++j) any |= hb[i + j] <= t ? 1u : 0u;
-    if (!any) {
-      pruned += kSelectBlock;
-      continue;
-    }
-    for (std::size_t j = 0; j < kSelectBlock; ++j) heap.offer(hb[i + j], first_label + i + j);
-  }
-  for (; i < rows; ++i) heap.offer(hb[i], first_label + i);
   return pruned;
 }
 
@@ -194,7 +174,7 @@ std::vector<std::vector<TopK>> ShardedPrototypeStore::topk_binary(
   if (k == 0) return std::vector<std::vector<TopK>>(batch);
 
   // Encode every query once, up front, into one contiguous packed buffer
-  // (the query-blocked kernel reads them side by side).
+  // (the query-blocked kernels read them side by side).
   const std::size_t wpr = base_->words_per_row();
   const std::vector<std::uint64_t> qwords = base_->encode_queries(embeddings);
   const std::uint64_t* packed = base_->packed_data();
@@ -215,31 +195,24 @@ std::vector<std::vector<TopK>> ShardedPrototypeStore::topk_binary(
       hints[b].store(~std::uint64_t{0}, std::memory_order_relaxed);
   }
 
-  // Per shard: one sweep of its (cache-resident) word range for the whole
-  // query batch — hamming_many_packed_multi loads every prototype row once
-  // per 4-query block — into a shard-local distance buffer, O(B·C/S) and
-  // for-overwrite (the kernel fills every slot read back).
   const auto scan = [&](std::size_t s, std::size_t begin, std::size_t rows, TopK* slots,
                         std::uint32_t* counts) {
-    auto h = std::make_unique_for_overwrite<std::uint32_t[]>(batch * rows);
-    hdc::hamming_many_packed_multi(qwords.data(), batch, packed + begin * wpr, rows, wpr,
-                                   h.get());
-    if (rule.row_offset) {
-      // Fold the handicap into the Hamming counts up front: seen rows carry
-      // h + Δ from here on, so the key selection, the cross-shard hints and
-      // the score conversion all see one integer domain.
-      const std::uint32_t* off = rule.row_offset + begin;
-      for (std::size_t b = 0; b < batch; ++b) {
-        std::uint32_t* hb = h.get() + b * rows;
-        for (std::size_t i = 0; i < rows; ++i) hb[i] += off[i];
-      }
-    }
-    std::uint64_t pruned = 0;
+    const std::uint64_t* codes = packed + begin * wpr;
     if (rule.integer_keys) {
+      // One fused sweep of the shard's (cache-resident) word range for the
+      // whole batch: hamming_topk_packed loads every row once per 4-query
+      // block, folds any integer handicap into its counts (seen rows
+      // compete as h + Δ, so selection, hints and scores share one integer
+      // domain) and offers each query's heap only the rows that can enter.
+      std::vector<hdc::HammingTopK> heaps;
+      heaps.reserve(batch);
+      for (std::size_t b = 0; b < batch; ++b)
+        heaps.emplace_back(keys.data() + (s * batch + b) * k, k,
+                           hints[b].load(std::memory_order_relaxed));
+      const std::uint64_t pruned = hdc::hamming_topk_packed(
+          qwords.data(), batch, codes, rows, wpr, {nullptr, begin, rule.row_offset}, heaps.data());
       for (std::size_t b = 0; b < batch; ++b) {
-        std::uint64_t* kept = keys.data() + (s * batch + b) * k;
-        BoundedTopKHamming heap(kept, k, hints[b].load(std::memory_order_relaxed));
-        pruned += select_hamming(h.get() + b * rows, rows, begin, heap);
+        const hdc::HammingTopK& heap = heaps[b];
         // Publish this shard's cutoff if it tightens the hint.
         const std::uint64_t cut = heap.cutoff();
         std::uint64_t seen = hints[b].load(std::memory_order_relaxed);
@@ -247,6 +220,7 @@ std::vector<std::vector<TopK>> ShardedPrototypeStore::topk_binary(
                !hints[b].compare_exchange_weak(seen, cut, std::memory_order_relaxed)) {
         }
         // Scores are converted only for the ≤ k kept candidates.
+        const std::uint64_t* kept = keys.data() + (s * batch + b) * k;
         for (std::size_t i = 0; i < heap.size(); ++i) slots[b * k + i] = rule.hit(kept[i]);
         counts[b] = static_cast<std::uint32_t>(heap.size());
       }
@@ -254,12 +228,19 @@ std::vector<std::vector<TopK>> ShardedPrototypeStore::topk_binary(
     }
     // Float domain — a subtract-form GZSL handicap (a calibrated penalty
     // off the Hamming grid, edge-hd's case), a non-positive scale or
-    // ≥ 2²⁴-bit codes: finish each query's counts to scores and select
-    // through the float path's block-skip loop.
+    // ≥ 2²⁴-bit codes: one sweep of the shard for the whole batch into a
+    // shard-local distance buffer (for-overwrite: the kernel fills every
+    // slot read back), then each query's counts finished to scores and
+    // selected through the float path's block-skip loop.
+    auto h = std::make_unique_for_overwrite<std::uint32_t[]>(batch * rows);
+    hdc::hamming_many_packed_multi(qwords.data(), batch, codes, rows, wpr, h.get());
+    std::uint64_t pruned = 0;
     std::vector<float> logits(rows);
     for (std::size_t b = 0; b < batch; ++b) {
       const std::uint32_t* hb = h.get() + b * rows;
-      for (std::size_t i = 0; i < rows; ++i) logits[i] = rule.score(hb[i], begin + i);
+      const std::uint32_t* off = rule.row_offset;
+      for (std::size_t i = 0; i < rows; ++i)
+        logits[i] = rule.score(off ? hb[i] + off[begin + i] : hb[i], begin + i);
       BoundedTopK heap(slots + b * k, k);
       pruned += select_float(logits.data(), rows, begin, heap);
       counts[b] = static_cast<std::uint32_t>(heap.size());

@@ -13,9 +13,10 @@
 //
 //   scatter  each shard scans only its own rows — the packed-binary path
 //            sweeps the shard's word range once for the whole query batch
-//            (hdc::hamming_many_packed_multi: every prototype row is
-//            loaded once per 4-query block), the float path runs one
-//            cache-blocked GEMM per shard — and folds the scores into a
+//            (hdc::hamming_topk_packed: every prototype row is loaded once
+//            per 4-query block, and its counts are tested against each
+//            query's heap while still in registers), the float path runs
+//            one cache-blocked GEMM per shard — and folds the scores into a
 //            k-bounded candidate heap as they are produced. No full-width
 //            logits row is ever materialized.
 //   gather   the S candidate heaps (≤ S·k entries) are merged and the
@@ -26,12 +27,15 @@
 //   integer  the binary path, wherever BinaryScoreRule::integer_keys holds
 //            (topk_select.hpp): packed (h << 32) | label keys, a GZSL
 //            handicap folded into h when it is an exact Hamming offset,
-//            and cross-shard cutoff hints;
+//            and cross-shard cutoff hints; the fused kernel selects, under
+//            the same 16-row block rule as the float loop;
 //   float    the float path, and the binary path when a subtract-form
 //            handicap breaks the integer order — a calibrated GZSL penalty
 //            lands just off the Hamming grid, so every edge-hd request
 //            takes this branch — or for non-positive scales and ≥ 2²⁴-bit
-//            codes. Both paths share the one block-skip loop here.
+//            codes: the counts go to a shard-local buffer
+//            (hdc::hamming_many_packed_multi) and both paths share the one
+//            block-skip loop here.
 //
 // Shards fan out across util::parallel_for workers, so on multi-core
 // serving hosts the scan parallelizes across shards; on one core the win
@@ -97,15 +101,16 @@ class ShardedPrototypeStore {
   std::vector<std::vector<TopK>> topk_float(const tensor::Tensor& embeddings, std::size_t k,
                                             const SeenPenalty* penalty = nullptr) const;
 
-  /// Scatter/gather top-k on the binary-Hamming path: per shard one
-  /// hamming_many_packed sweep over its word range, selection directly in
-  /// the integer Hamming domain, scores converted only for the ≤ S·k
-  /// gathered candidates. Same ordering contract as topk_float. With a
-  /// `penalty` whose handicap is integer_exact, seen rows select on
-  /// h + offset — still pure u64-key compares, still exact vs. the flat
-  /// score_binary(emb, penalty) argsort; any other handicap (a calibrated
-  /// penalty off the Hamming grid) selects in the float domain, through
-  /// topk_float's block-skip loop, with the same subtract-form scores.
+  /// Scatter/gather top-k on the binary-Hamming path: per shard one fused
+  /// scan-and-select (hdc::hamming_topk_packed) over its word range for
+  /// the whole batch, selection directly in the integer Hamming domain,
+  /// scores converted only for the ≤ S·k gathered candidates. Same
+  /// ordering contract as topk_float. With a `penalty` whose handicap is
+  /// integer_exact, seen rows select on h + offset — still pure u64-key
+  /// compares, still exact vs. the flat score_binary(emb, penalty)
+  /// argsort; any other handicap (a calibrated penalty off the Hamming
+  /// grid) selects in the float domain, through topk_float's block-skip
+  /// loop, with the same subtract-form scores.
   std::vector<std::vector<TopK>> topk_binary(const tensor::Tensor& embeddings, std::size_t k,
                                              const SeenPenalty* penalty = nullptr) const;
 
@@ -116,9 +121,11 @@ class ShardedPrototypeStore {
     std::uint64_t scans = 0;        ///< (query, shard) scatter scans executed
     std::uint64_t rows_swept = 0;   ///< prototype rows swept in those scans
     /// Rows skipped wholesale by the block-skip cutoff (a subset of
-    /// swept; the prune rate is rows_pruned / rows_swept). On the binary
-    /// integer-key scan this count depends on thread timing: each shard
-    /// starts from whatever cross-shard hint earlier shards have
+    /// swept; the prune rate is rows_pruned / rows_swept): full 16-row
+    /// blocks, counted from the shard's first row, none of whose scores
+    /// could enter the heap at the threshold sampled at the block's start.
+    /// On the binary integer-key scan this count depends on thread timing:
+    /// each shard starts from whatever cross-shard hint earlier shards have
     /// published, so with shards scanning concurrently it varies run to
     /// run (results do not). With one worker it is deterministic.
     std::uint64_t rows_pruned = 0;

@@ -4,9 +4,10 @@
 //
 // BinaryScoreRule is the only place that knows how a Hamming count becomes
 // a logit and when integer (h, label) keys order exactly like those
-// logits; the selection heaps below are the only place that knows the
-// retrieval order and its block-skip thresholds. Because every path goes
-// through them, the "nprobe == C and unbounded rerank degenerates
+// logits. The float-domain heap below and, for integer keys, hdc::HammingTopK
+// under hdc::hamming_topk_packed's block rule are the only places that know
+// the retrieval order and its block-skip thresholds. Because every path
+// goes through them, the "nprobe == C and unbounded rerank degenerates
 // bit-identically to the exact path" property holds by construction
 // (tests/test_ann_retrieval.cpp asserts it).
 #pragma once
@@ -17,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "hdc/hypervector.hpp"
 #include "serve/sharded_store.hpp"
 #include "tensor/tensor.hpp"
 
@@ -84,7 +86,7 @@ struct BinaryScoreRule {
   float score(std::uint32_t h, std::size_t row) const {
     return row_penalty ? logit(h) - row_penalty[row] : logit(h);
   }
-  /// The hit an integer key (see BoundedTopKHamming) stands for.
+  /// The hit an integer key (see hdc::HammingTopK) stands for.
   TopK hit(std::uint64_t key) const {
     return TopK{static_cast<std::size_t>(key & 0xffffffffu),
                 logit(static_cast<std::uint32_t>(key >> 32))};
@@ -97,11 +99,12 @@ struct BinaryScoreRule {
   bool integer_keys = false;
 };
 
-/// Rows per block-skip test in the selection loops: once a cutoff is
-/// known, a whole block is skipped with one vectorizable compare-reduce
-/// over its scores, so the steady-state selection cost drops well below
-/// one branch per row. 16 keeps the reduce inside two SSE registers.
-inline constexpr std::size_t kSelectBlock = 16;
+/// Rows per block-skip test in the float-domain selection loop: once a
+/// cutoff is known, a whole block is skipped with one vectorizable
+/// compare-reduce over its scores, so the steady-state selection cost drops
+/// well below one branch per row. The integer-key domain applies the same
+/// 16-row block rule inside hdc::hamming_topk_packed.
+inline constexpr std::size_t kSelectBlock = hdc::kTopkBlock;
 
 /// k-bounded candidate selection over caller-provided storage (one flat
 /// slot per (shard, query), so the scatter allocates nothing per scan): a
@@ -136,58 +139,6 @@ class BoundedTopK {
   Hit* slot_;
   std::size_t k_;
   std::size_t n_ = 0;
-};
-
-/// Integer-domain variant of BoundedTopK for the binary path: candidates
-/// are packed (hamming << 32) | label keys, so the retrieval order
-/// (score desc, label asc) becomes a single u64 compare (h asc, label asc)
-/// and the fast path is one predictable compare per scanned row. Valid
-/// only where BinaryScoreRule::integer_keys holds; BinaryScoreRule::hit
-/// turns a kept key back into its (label, score) hit.
-class BoundedTopKHamming {
- public:
-  /// `bound` is a global-cutoff hint: a key value known to have at least k
-  /// better keys somewhere in the store (another shard's k-th best).
-  /// Anything at or above it cannot make the global top-k and is dropped
-  /// before touching the local heap — keys are unique (the label is in the
-  /// low bits), so `>=` never discards a genuine tie.
-  BoundedTopKHamming(std::uint64_t* slot, std::size_t k, std::uint64_t bound)
-      : slot_(slot), k_(k), bound_(bound) {}
-
-  void offer(std::uint32_t h, std::size_t label) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(h) << 32) | static_cast<std::uint64_t>(label);
-    if (key >= bound_) return;  // cutoff miss: the common case
-    if (n_ < k_) {
-      slot_[n_++] = key;
-      std::push_heap(slot_, slot_ + n_);  // max-key (worst candidate) on top
-      if (n_ == k_) bound_ = std::min(bound_, slot_[0]);
-      return;
-    }
-    std::pop_heap(slot_, slot_ + n_);
-    slot_[n_ - 1] = key;
-    std::push_heap(slot_, slot_ + n_);
-    bound_ = std::min(bound_, slot_[0]);
-  }
-
-  std::size_t size() const { return n_; }
-  /// The local k-th best key once full (the caller publishes it as the
-  /// next shard's starting bound).
-  std::uint64_t cutoff() const { return n_ == k_ ? slot_[0] : ~std::uint64_t{0}; }
-  /// Block-skip threshold in the Hamming domain: rows with h strictly
-  /// above it cannot beat the bound (h == threshold may, via the label
-  /// bits), so a whole block of rows above it is skipped wholesale. The
-  /// same inequality makes the prefix-word early exit admissible: a row
-  /// whose *partial* Hamming count already exceeds the threshold cannot
-  /// complete to a kept key, because the remaining words only add to h
-  /// (ann_store.cpp).
-  std::uint32_t threshold() const { return static_cast<std::uint32_t>(bound_ >> 32); }
-
- private:
-  std::uint64_t* slot_;
-  std::size_t k_;
-  std::size_t n_ = 0;
-  std::uint64_t bound_;
 };
 
 }  // namespace hdczsc::serve::detail

@@ -1,8 +1,8 @@
-// Approximate retrieval property suite: the IVF + early-exit + cascade tier
+// Approximate retrieval property suite: the IVF + fused scan + cascade tier
 // (serve/ann_store.hpp) must *degenerate to the exact sharded scan
 // bit-for-bit* when its approximation knobs are opened up (nprobe == Cc,
-// unbounded rerank) — on both scoring paths, across early-exit splits,
-// ragged code widths and GZSL penalty forms — and at its defaults must hold
+// unbounded rerank) — on both scoring paths, across code widths, ragged
+// code widths and GZSL penalty forms — and at its defaults must hold
 // recall@10 ≥ 0.99 on clustered label spaces. The index persists through
 // the .hdcsnap v5 record pair (older versions load exact-only), rebuilds
 // deterministically, rejects truncated/corrupt records by name, and stays
@@ -260,67 +260,68 @@ TEST(IvfExact, CascadeUnboundedRerankMatchesExactFloat) {
   }
 }
 
-// -- Hamming early exit ------------------------------------------------------
+// -- fused scan across code widths -------------------------------------------
 
-TEST(EarlyExit, AdmissibleAcrossEveryPrefixSplit) {
-  // D = 512 → 8 words per row: force every prefix/suffix split and demand
-  // the same bits as the exact scan. The prune may fire or not — it must
-  // never change the answer.
-  const PrototypeStore store = make_store(400, 64, /*expansion=*/8);
-  const ShardedPrototypeStore sharded(store, 1);
-  IvfIndex ivf(store);
-  util::Rng rng(19);
-  const Tensor emb = Tensor::randn({3, 64}, rng);
-  const auto want = sharded.topk_binary(emb, 5);
-  std::uint64_t pruned_somewhere = 0;
-  for (std::size_t split = 1; split <= store.words_per_row(); ++split) {
-    ivf.set_prefix_words(split);
-    ASSERT_EQ(ivf.prefix_words(), split);
-    expect_identical(ivf.topk_binary(emb, 5, ivf.n_centroids()), want,
-                     "prefix_words=" + std::to_string(split));
-    pruned_somewhere += ivf.probe_stats().rows_pruned;
+/// The code widths the sweeps below cover: expansion e over d = 64 gives
+/// e words per row — the rows-in-lanes layouts (1, 2, 4, 8), the popcnt
+/// widths between them, and the wide rows (9 and up) whose blocks take the
+/// first-register test.
+constexpr std::size_t kMaxExpansion = 32;
+
+TEST(EarlyExit, FullProbeMatchesExactAtEveryCodeWidth) {
+  // The IVF list scans run the exact sharded scan's fused kernel over the
+  // list-ordered code plane, so a full probe must return the same bits at
+  // every width. The block test may prune or not — it must never change
+  // the answer, and it must fire on 8- and 32-word codes.
+  for (std::size_t e = 1; e <= kMaxExpansion; ++e) {
+    const PrototypeStore store = make_store(400, 64, e);
+    ASSERT_EQ(store.words_per_row(), e);
+    const ShardedPrototypeStore sharded(store, 3);
+    const IvfIndex ivf(store);
+    util::Rng rng(19);
+    const Tensor emb = Tensor::randn({3, 64}, rng);
+    expect_identical(ivf.topk_binary(emb, 5, ivf.n_centroids()), sharded.topk_binary(emb, 5),
+                     "words=" + std::to_string(e));
+    if (e == 8 || e == 32) {
+      EXPECT_GT(ivf.probe_stats().rows_pruned, 0u) << "words=" << e;
+    }
   }
-  // With a 1-word prefix over 8-word codes the cutoff must actually fire.
-  EXPECT_GT(pruned_somewhere, 0u);
-  ivf.set_prefix_words(0);  // back to the automatic split
-  EXPECT_GT(ivf.prefix_words(), 0u);
 }
 
-TEST(EarlyExit, GzslIntegerOffsetStaysExact) {
-  // Integer-exact handicap (scale 4, D = 256 ⇒ penalty = Δ/32): the prune
-  // threshold and the fold both live in the integer Hamming domain, so the
-  // penalized early-exit scan must equal the penalized exact scan bitwise,
-  // under every split.
-  const PrototypeStore store = make_store(500, 128, /*expansion=*/2);
-  const SeenPenalty p = store.resolve_penalty(6.0f / 32.0f, striped_mask(500));
-  ASSERT_TRUE(p.integer_exact);
-  const ShardedPrototypeStore sharded(store, 2);
-  IvfIndex ivf(store);
-  util::Rng rng(23);
-  const Tensor emb = Tensor::randn({4, 128}, rng);
-  const auto want = sharded.topk_binary(emb, 8, &p);
-  for (std::size_t split = 1; split <= store.words_per_row(); ++split) {
-    ivf.set_prefix_words(split);
+TEST(EarlyExit, GzslIntegerOffsetStaysExactAtEveryCodeWidth) {
+  // Integer-exact handicap (scale 4, D = 64e ⇒ penalty 1/8 is Δ = e bits):
+  // the block test and the offset fold both live in the integer Hamming
+  // domain, so the penalized list scan must equal the penalized exact scan
+  // bitwise at every width.
+  for (std::size_t e = 1; e <= kMaxExpansion; ++e) {
+    const PrototypeStore store = make_store(500, 64, e);
+    const SeenPenalty p = store.resolve_penalty(0.125f, striped_mask(500));
+    ASSERT_TRUE(p.integer_exact) << "words=" << e;
+    const ShardedPrototypeStore sharded(store, 2);
+    const IvfIndex ivf(store);
+    util::Rng rng(23);
+    const Tensor emb = Tensor::randn({4, 64}, rng);
     expect_identical(ivf.topk_binary(emb, 8, ivf.n_centroids(), &p),
-                     want, "gzsl split=" + std::to_string(split));
+                     sharded.topk_binary(emb, 8, &p), "gzsl words=" + std::to_string(e));
   }
 }
 
-TEST(EarlyExit, NonIntegerPenaltyFallsBackFullWidth) {
+TEST(EarlyExit, NonIntegerPenaltyFallsBackAtEveryCodeWidth) {
   // A fractional handicap can't fold into integer keys; the scan must take
-  // the full-width float-domain path (no prune) and still match the exact
-  // sharded fallback bitwise.
-  const PrototypeStore store = make_store(300, 128, /*expansion=*/2);
-  const SeenPenalty p = store.resolve_penalty(0.1f, striped_mask(300));
-  ASSERT_FALSE(p.integer_exact);
-  const ShardedPrototypeStore sharded(store, 2);
-  const IvfIndex ivf(store);
-  util::Rng rng(29);
-  const Tensor emb = Tensor::randn({3, 128}, rng);
-  const auto before = ivf.probe_stats().rows_pruned;
-  expect_identical(ivf.topk_binary(emb, 6, ivf.n_centroids(), &p),
-                   sharded.topk_binary(emb, 6, &p), "float-domain fallback");
-  EXPECT_EQ(ivf.probe_stats().rows_pruned, before);  // full width: nothing pruned
+  // the full-count float-domain path (no block test, nothing pruned) and
+  // still match the exact sharded fallback bitwise at every width.
+  for (std::size_t e = 1; e <= kMaxExpansion; ++e) {
+    const PrototypeStore store = make_store(300, 64, e);
+    const SeenPenalty p = store.resolve_penalty(0.1f, striped_mask(300));
+    ASSERT_FALSE(p.integer_exact) << "words=" << e;
+    const ShardedPrototypeStore sharded(store, 2);
+    const IvfIndex ivf(store);
+    util::Rng rng(29);
+    const Tensor emb = Tensor::randn({3, 64}, rng);
+    expect_identical(ivf.topk_binary(emb, 6, ivf.n_centroids(), &p),
+                     sharded.topk_binary(emb, 6, &p), "float-domain words=" + std::to_string(e));
+    EXPECT_EQ(ivf.probe_stats().rows_pruned, 0u) << "words=" << e;
+  }
 }
 
 TEST(Cascade, PenaltyAppliedInRerank) {
@@ -424,7 +425,7 @@ TEST(IvfProbe, StatsAccountForSweepAndPrune) {
   // The process-wide serve_ivf_* counters mirror the per-index telemetry.
   EXPECT_GT(obs::default_registry()
                 .counter("serve_ivf_rows_swept_total", {},
-                         "prototype rows prefix-scored by IVF scans")
+                         "prototype rows scored by IVF list scans")
                 ->value(),
             0u);
 }

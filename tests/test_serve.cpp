@@ -101,10 +101,11 @@ std::uint32_t naive_hamming(const std::uint64_t* a, const std::uint64_t* b,
 
 TEST(HammingMany, RaggedTailsMatchNaiveReferenceOnEveryDispatchPath) {
   // The query-blocked kernels peel queries in blocks of 4, the avx512
-  // variant takes rows in blocks of 8 laid out by code width, and the
-  // packed rows carry a masked tail word whenever the code width is not a
-  // multiple of 64 — sweep every remainder shape (widths around each
-  // register layout, row counts around the 8-row blocks, 1..9 queries)
+  // variant takes rows in blocks of 16 (two halves of 8) laid out by code
+  // width, and the packed rows carry a masked tail word whenever the code
+  // width is not a multiple of 64 — sweep every remainder shape (widths
+  // around each register layout, row counts around the 8-row halves and
+  // 16-row blocks, 1..9 queries)
   // against a per-bit reference, pinned to each kernel variant the
   // runtime dispatch can select. Buffers are exactly sized, so a read past
   // the last row or query is an ASan error. The pin is process-global, so
@@ -138,7 +139,7 @@ TEST(HammingMany, RaggedTailsMatchNaiveReferenceOnEveryDispatchPath) {
       }
       return codes;
     };
-    for (std::size_t n_rows : {1u, 7u, 8u, 9u, 23u, 65u}) {
+    for (std::size_t n_rows : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 23u, 33u, 65u}) {
       const std::vector<std::uint64_t> rows = random_codes(n_rows);
       for (std::size_t n_queries = 1; n_queries <= 9; ++n_queries) {
         const std::vector<std::uint64_t> queries = random_codes(n_queries);
@@ -164,6 +165,154 @@ TEST(HammingMany, RaggedTailsMatchNaiveReferenceOnEveryDispatchPath) {
       }
     }
   }
+}
+
+/// Scalar replay of one query's selection under hamming_topk_packed's
+/// block rule, independent of hdc::HammingTopK: the kept keys as a sorted
+/// list, the bound the smaller of the starting hint and the k-th kept key.
+struct BlockRuleReplay {
+  std::size_t k;
+  std::uint64_t bound;
+  std::vector<std::uint64_t> kept;  // ascending
+  std::uint64_t pruned = 0;
+
+  void offer(std::uint64_t key) {
+    if (key >= bound) return;
+    kept.insert(std::lower_bound(kept.begin(), kept.end(), key), key);
+    if (kept.size() > k) kept.pop_back();
+    if (kept.size() == k) bound = std::min(bound, kept.back());
+  }
+  /// Rows' keys in row order: a full block of 16 whose every count is
+  /// above the threshold sampled at its start is pruned, every other row
+  /// is offered.
+  void scan(const std::vector<std::uint64_t>& keys) {
+    for (std::size_t i = 0; i < keys.size(); i += 16) {
+      const std::size_t n = std::min<std::size_t>(16, keys.size() - i);
+      const std::uint64_t t = bound >> 32;
+      bool open = false;
+      for (std::size_t j = 0; j < n; ++j) open = open || (keys[i + j] >> 32) <= t;
+      if (!open && n == 16) {
+        pruned += 16;
+        continue;
+      }
+      for (std::size_t j = 0; j < n; ++j) offer(keys[i + j]);
+    }
+  }
+};
+
+TEST(HammingTopK, FusedScanMatchesBruteForceAndBlockRuleOnEveryDispatchPath) {
+  // hamming_topk_packed must keep, per query, exactly the k smallest
+  // (h + Δ, label) keys below the starting bound, and report exactly the
+  // rows a scalar replay of the 16-row block rule prunes — on every
+  // variant, for every remainder shape: widths around each register layout
+  // and the 8-word first-register test, ragged code widths, row counts
+  // around the 16-row blocks, 1..9 queries (blocks of 4), k from 1 to
+  // past the row count, with and without integer offsets, with contiguous
+  // and list-indirect labels, with and without a starting bound. Buffers
+  // are exactly sized, so a read past the last row, query, label, offset
+  // or heap slot is an ASan error.
+  struct RestoreDispatch {
+    ~RestoreDispatch() { hdc::set_hamming_kernel("auto"); }
+  } restore;
+  std::vector<std::string> kernels{"portable"}, skipped;
+  for (const char* name : {"popcnt", "avx512"})
+    (hdc::set_hamming_kernel(name) ? kernels : skipped).push_back(name);
+  hdc::set_hamming_kernel("auto");
+  std::cout << "[ kernels  ] fused top-k ran:";
+  for (const std::string& k : kernels) std::cout << ' ' << k;
+  std::cout << "; unsupported here:";
+  for (const std::string& k : skipped) std::cout << ' ' << k;
+  std::cout << (skipped.empty() ? " none\n" : "\n");
+
+  util::Rng rng(45);
+  std::uint64_t pruned_total = 0;
+  for (std::size_t words : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 31u, 32u, 33u}) {
+    const std::size_t dim = 64 * words - (words % 3) * 13;
+    const auto random_codes = [&](std::size_t n) {
+      std::vector<std::uint64_t> codes(n * words);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto hv = hdc::BinaryHV::random(dim, rng);
+        std::copy(hv.words().begin(), hv.words().end(), codes.begin() + i * words);
+      }
+      return codes;
+    };
+    for (std::size_t n_rows : {1u, 15u, 16u, 17u, 33u, 65u, 300u}) {
+      const std::vector<std::uint64_t> rows = random_codes(n_rows);
+      for (std::size_t n_queries = 1; n_queries <= 9; ++n_queries) {
+        const std::vector<std::uint64_t> queries = random_codes(n_queries);
+        for (const bool indirect : {false, true}) {
+          // List-indirect labels are distinct ids out of twice the rows;
+          // contiguous ones start past zero.
+          const std::size_t first = indirect ? 0 : 1000;
+          const std::size_t n_labels = indirect ? 2 * n_rows : first + n_rows;
+          std::vector<std::uint32_t> ids;
+          if (indirect) {
+            for (std::size_t id : rng.permutation(n_labels))
+              if (ids.size() < n_rows) ids.push_back(static_cast<std::uint32_t>(id));
+          }
+          for (const bool with_offsets : {false, true}) {
+            std::vector<std::uint32_t> offsets;
+            if (with_offsets)
+              for (std::size_t l = 0; l < n_labels; ++l)
+                offsets.push_back(static_cast<std::uint32_t>(rng.next_below(24)));
+            const hdc::RowLabels labels{indirect ? ids.data() : nullptr, first,
+                                        with_offsets ? offsets.data() : nullptr};
+            // Every row's key per query, in row order.
+            std::vector<std::vector<std::uint64_t>> keys(n_queries);
+            for (std::size_t q = 0; q < n_queries; ++q)
+              for (std::size_t i = 0; i < n_rows; ++i) {
+                const std::uint64_t label = indirect ? ids[i] : first + i;
+                const std::uint64_t h =
+                    naive_hamming(queries.data() + q * words, rows.data() + i * words, words) +
+                    (with_offsets ? offsets[label] : 0);
+                keys[q].push_back((h << 32) | label);
+              }
+            for (std::size_t k : {1u, 10u, 40u}) {
+              for (const bool hinted : {false, true}) {
+                const std::string what =
+                    "words=" + std::to_string(words) + " rows=" + std::to_string(n_rows) +
+                    " queries=" + std::to_string(n_queries) + " k=" + std::to_string(k) +
+                    (indirect ? " indirect" : " contiguous") +
+                    (with_offsets ? " offsets" : "") + (hinted ? " hinted" : "");
+                std::vector<std::uint64_t> hints(n_queries, ~std::uint64_t{0});
+                std::vector<std::vector<std::uint64_t>> want(n_queries);
+                std::uint64_t want_pruned = 0;
+                for (std::size_t q = 0; q < n_queries; ++q) {
+                  std::vector<std::uint64_t> sorted = keys[q];
+                  std::sort(sorted.begin(), sorted.end());
+                  if (hinted) hints[q] = sorted[sorted.size() / 3];
+                  for (std::uint64_t key : sorted)
+                    if (key < hints[q] && want[q].size() < k) want[q].push_back(key);
+                  BlockRuleReplay replay{k, hints[q], {}};
+                  replay.scan(keys[q]);
+                  ASSERT_EQ(replay.kept, want[q]) << "replay " << what;
+                  want_pruned += replay.pruned;
+                }
+                pruned_total += want_pruned;
+                for (const std::string& kernel : kernels) {
+                  ASSERT_TRUE(hdc::set_hamming_kernel(kernel.c_str())) << kernel;
+                  std::vector<std::uint64_t> slots(n_queries * k);
+                  std::vector<hdc::HammingTopK> heaps;
+                  for (std::size_t q = 0; q < n_queries; ++q)
+                    heaps.emplace_back(slots.data() + q * k, k, hints[q]);
+                  const std::uint64_t pruned = hdc::hamming_topk_packed(
+                      queries.data(), n_queries, rows.data(), n_rows, words, labels, heaps.data());
+                  for (std::size_t q = 0; q < n_queries; ++q) {
+                    std::vector<std::uint64_t> got(slots.begin() + q * k,
+                                                   slots.begin() + q * k + heaps[q].size());
+                    std::sort(got.begin(), got.end());
+                    ASSERT_EQ(got, want[q]) << kernel << ' ' << what << " query " << q;
+                  }
+                  ASSERT_EQ(pruned, want_pruned) << kernel << ' ' << what;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned_total, 0u);  // the block rule did fire
 }
 
 // -- prototype store ---------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <sstream>
 
@@ -14,6 +15,7 @@
 #include "serve/model_registry.hpp"
 #include "serve/sharded_store.hpp"
 #include "tensor/ops.hpp"
+#include "util/parallel.hpp"
 
 namespace hdczsc {
 namespace {
@@ -231,6 +233,83 @@ TEST(ShardedStore, ShardStatsCountScans) {
   for (const auto& s : stats) {
     EXPECT_EQ(s.scans, 8u);  // 4 queries × 2 scoring paths
     EXPECT_EQ(s.rows_swept, 8u * s.rows);
+  }
+}
+
+TEST(ShardedStore, BinaryPruneCountReplaysTheBlockRuleOnOneWorker) {
+  // With one worker the shards scan in order, and each query's heap starts
+  // from the smallest k-th best key the earlier shards published. The rows
+  // a shard prunes are then the full 16-row blocks (counted from the
+  // shard's first row) whose every (h + Δ) count is above the heap's
+  // threshold sampled at the block's start. Replay that rule from per-row
+  // Hamming counts and require each shard's rows_pruned to match, with and
+  // without an integer-exact GZSL offset.
+  struct RestoreWorkers {
+    ~RestoreWorkers() { util::set_worker_count(0); }
+  } restore;
+  util::set_worker_count(1);
+  struct Shape {
+    std::size_t classes, dim, expansion, shards, k;
+  };
+  for (const Shape sh : {Shape{2000, 64, 4, 4, 10}, Shape{777, 48, 3, 5, 7},
+                         Shape{600, 64, 16, 3, 5}}) {
+    const PrototypeStore store = make_store(sh.classes, sh.dim, sh.expansion);
+    const std::size_t words = store.words_per_row();
+    std::vector<std::uint8_t> seen(sh.classes);
+    for (std::size_t c = 0; c < sh.classes; ++c) seen[c] = c % 3 == 0;
+    // penalty = 2s·Δ/D at scale 4 and Δ = D/16: integer-exact.
+    const serve::SeenPenalty p = store.resolve_penalty(0.5f, seen);
+    ASSERT_TRUE(p.integer_exact);
+    util::Rng rng(37);
+    const Tensor emb = Tensor::randn({6, sh.dim}, rng);
+    for (const serve::SeenPenalty* pen : {static_cast<const serve::SeenPenalty*>(nullptr), &p}) {
+      const ShardedPrototypeStore sharded(store, sh.shards);
+      sharded.topk_binary(emb, sh.k, pen);
+      const auto stats = sharded.shard_stats();
+
+      std::vector<std::uint64_t> hint(emb.size(0), ~std::uint64_t{0});
+      std::uint64_t total = 0;
+      for (std::size_t s = 0; s < sharded.n_shards(); ++s) {
+        const std::size_t begin = sharded.shard_begin(s), end = sharded.shard_end(s);
+        std::uint64_t pruned = 0;
+        for (std::size_t b = 0; b < emb.size(0); ++b) {
+          const hdc::BinaryHV q = store.encode_query(emb.data() + b * sh.dim);
+          std::uint64_t bound = hint[b];
+          std::vector<std::uint64_t> kept;  // ascending
+          const auto key_of = [&](std::size_t row) {
+            const std::uint64_t* code = store.packed_data() + row * words;
+            std::uint64_t h = 0;
+            for (std::size_t w = 0; w < words; ++w)
+              h += static_cast<std::uint64_t>(std::popcount(q.words()[w] ^ code[w]));
+            if (pen) h += pen->row_offset[row];
+            return (h << 32) | row;
+          };
+          const auto offer = [&](std::uint64_t key) {
+            if (key >= bound) return;
+            kept.insert(std::lower_bound(kept.begin(), kept.end(), key), key);
+            if (kept.size() > sh.k) kept.pop_back();
+            if (kept.size() == sh.k) bound = std::min(bound, kept.back());
+          };
+          std::size_t i = begin;
+          for (; i + 16 <= end; i += 16) {
+            const std::uint64_t t = bound >> 32;
+            bool open = false;
+            for (std::size_t j = 0; j < 16; ++j) open = open || (key_of(i + j) >> 32) <= t;
+            if (!open) {
+              pruned += 16;
+              continue;
+            }
+            for (std::size_t j = 0; j < 16; ++j) offer(key_of(i + j));
+          }
+          for (; i < end; ++i) offer(key_of(i));
+          if (kept.size() == sh.k) hint[b] = std::min(hint[b], kept.back());
+        }
+        EXPECT_EQ(stats[s].rows_pruned, pruned)
+            << "C=" << sh.classes << " shard " << s << (pen ? " penalized" : "");
+        total += pruned;
+      }
+      EXPECT_GT(total, 0u) << "C=" << sh.classes;  // the replay is not vacuous
+    }
   }
 }
 
