@@ -13,7 +13,8 @@
 //                not speed. Every variant this CPU runs is measured.
 //  * embed     — ModelSnapshot::embed vs embed_int8 on the trained model:
 //                the whole backbone (conv/bn/relu folded to int8 + float
-//                glue) per batch, plus the embedding cosine agreement.
+//                glue) per batch at the served batch sizes 1 and 2 and at
+//                8, plus the embedding cosine agreement at batch 8.
 //  * serving   — InferenceEngine::classify_batch images/s, float32 vs int8
 //                precision, identical snapshot and scoring.
 //  * accuracy  — top-1 on the held-out test set through both engines; the
@@ -188,12 +189,22 @@ int main(int argc, char** argv) {
                   chw * sizeof(float));
     return batch;
   };
+  struct EmbedPoint {
+    std::size_t batch;
+    double float_ms, int8_ms;
+  };
+  std::vector<EmbedPoint> embed_points;
+  for (std::size_t b : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    const tensor::Tensor xb = batch_of(b);
+    snapshot->embed(xb);       // warm float scratch
+    snapshot->embed_int8(xb);  // warm int8 scratch
+    embed_points.push_back({b, 1e3 * best_seconds([&] { snapshot->embed(xb); }, reps),
+                            1e3 * best_seconds([&] { snapshot->embed_int8(xb); }, reps)});
+  }
   const std::size_t embed_batch = 8;
   const tensor::Tensor eb = batch_of(embed_batch);
-  snapshot->embed(eb);       // warm float scratch
-  snapshot->embed_int8(eb);  // warm int8 scratch
-  const double embed_f_ms = 1e3 * best_seconds([&] { snapshot->embed(eb); }, reps);
-  const double embed_q_ms = 1e3 * best_seconds([&] { snapshot->embed_int8(eb); }, reps);
+  const double embed_f_ms = embed_points.back().float_ms;
+  const double embed_q_ms = embed_points.back().int8_ms;
   const double embed_speedup = embed_f_ms / embed_q_ms;
 
   // Directional agreement of the embeddings (what cosine scoring consumes).
@@ -213,13 +224,12 @@ int main(int argc, char** argv) {
   }
   const double embed_cosine = cos_acc / static_cast<double>(embed_batch);
 
-  util::Table embed_table("backbone embed forward, batch " + std::to_string(embed_batch));
-  embed_table.set_header({"path", "ms/batch", "ms/image", "speedup"});
-  embed_table.add_row({"float32", util::Table::num(embed_f_ms, 3),
-                       util::Table::num(embed_f_ms / embed_batch, 3), "1.00x"});
-  embed_table.add_row({"int8", util::Table::num(embed_q_ms, 3),
-                       util::Table::num(embed_q_ms / embed_batch, 3),
-                       util::Table::num(embed_speedup, 2) + "x"});
+  util::Table embed_table("backbone embed forward by batch");
+  embed_table.set_header({"batch", "float ms/batch", "int8 ms/batch", "int8 vs float"});
+  for (const EmbedPoint& p : embed_points)
+    embed_table.add_row({std::to_string(p.batch), util::Table::num(p.float_ms, 3),
+                         util::Table::num(p.int8_ms, 3),
+                         util::Table::num(p.float_ms / p.int8_ms, 2) + "x"});
   embed_table.print();
   std::printf("embedding cosine (int8 vs float, mean per row): %.5f\n", embed_cosine);
 
@@ -304,6 +314,16 @@ int main(int argc, char** argv) {
                  "  \"embed_forward\": {\"batch\": %zu, \"float_ms\": %.4f, \"int8_ms\": "
                  "%.4f, \"speedup\": %.3f, \"cosine\": %.5f},\n",
                  embed_batch, embed_f_ms, embed_q_ms, embed_speedup, embed_cosine);
+    std::fprintf(j, "  \"embed_by_batch\": [\n");
+    for (std::size_t i = 0; i < embed_points.size(); ++i) {
+      const EmbedPoint& p = embed_points[i];
+      std::fprintf(j,
+                   "    {\"batch\": %zu, \"float_ms\": %.4f, \"int8_ms\": %.4f, "
+                   "\"speedup\": %.3f}%s\n",
+                   p.batch, p.float_ms, p.int8_ms, p.float_ms / p.int8_ms,
+                   i + 1 < embed_points.size() ? "," : "");
+    }
+    std::fprintf(j, "  ],\n");
     std::fprintf(j,
                  "  \"classify_batch\": {\"images_per_s_float\": %.2f, "
                  "\"images_per_s_int8\": %.2f, \"speedup\": %.3f},\n",

@@ -8,7 +8,8 @@
 // The serving flags: serve_demo and netserve parse --mode, --precision,
 // --calib-method and --retrieval, check an int8 request against the loaded
 // artifact, and fill a ServerConfig from --workers, --batch, --delay-ms,
-// --nprobe and --rerank through the helpers below. Flags only one CLI
+// --nprobe and --rerank through the helpers below; snapshot_tool --quantize
+// takes its --calib-method from the same parser. Flags only one CLI
 // accepts (--shards, --seen-penalty, --queue-depth) stay in that CLI.
 #pragma once
 

@@ -182,13 +182,8 @@ int run(int argc, char** argv) {
       std::fprintf(stderr, "snapshot_tool: --quantize needs --out=PATH for the v4 artifact\n");
       return 2;
     }
-    nn::CalibMethod method{};
-    try {
-      method = nn::calib_method_from_name(args.get_str("calib-method", "minmax"));
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "snapshot_tool: %s\n", e.what());
-      return 2;
-    }
+    const auto flags = examples::parse_serving_flags(args, "snapshot_tool");
+    if (!flags) return 2;
     const std::size_t n_calib = static_cast<std::size_t>(args.get_int("calib-images", 64));
 
     auto snap = serve::load_snapshot_file(in);
@@ -197,7 +192,7 @@ int run(int argc, char** argv) {
     util::Rng rng(0xCA11B0ULL);
     const nn::Tensor calib_images =
         nn::Tensor::randn({n_calib, 3, image_size, image_size}, rng);
-    const auto qi = snap->quantize(calib_images, method)->info();
+    const auto qi = snap->quantize(calib_images, flags->calib)->info();
     serve::save_snapshot_file(out, *snap);
     std::printf("quantized %s -> %s: %s calibrated, %zu conv + %zu linear, %zu weight "
                 "bytes\n",

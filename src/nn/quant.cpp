@@ -13,7 +13,6 @@
 #include "nn/pooling.hpp"
 #include "tensor/gemm_int8.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/scratch.hpp"
 #include "tensor/serialize.hpp"
 #include "util/parallel.hpp"
 
@@ -31,63 +30,7 @@ constexpr std::uint32_t kQuantFormatVersion = 1;
 /// the AVX2 vpmaddubsw pair sums below the s16 saturation point).
 constexpr int kWeightMax = 63;
 
-inline std::uint8_t quantize_u8(float v, float inv_scale, std::int32_t zp) {
-  const float r = v * inv_scale;
-  int q = static_cast<int>(r >= 0.0f ? r + 0.5f : r - 0.5f) + zp;
-  if (q < 0) q = 0;
-  if (q > 255) q = 255;
-  return static_cast<std::uint8_t>(q);
-}
-
-/// u8 analogue of nn::im2col: quantizes on the fly and fills padding with
-/// the zero-point (the exact u8 code of real 0.0). Same [C*kh*kw, out_h*out_w]
-/// row layout and col_stride semantics as the float version.
-void im2col_u8(const float* input, std::size_t channels, std::size_t height, std::size_t width,
-               std::size_t kh, std::size_t kw, std::size_t stride, std::size_t pad,
-               float inv_scale, std::int32_t zp, std::uint8_t* columns, std::size_t col_stride) {
-  const std::size_t out_h = (height + 2 * pad - kh) / stride + 1;
-  const std::size_t out_w = (width + 2 * pad - kw) / stride + 1;
-  const std::size_t ncols = out_h * out_w;
-  const std::size_t rstride = col_stride == 0 ? ncols : col_stride;
-  const std::uint8_t zp8 = static_cast<std::uint8_t>(zp);
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < channels; ++c) {
-    for (std::size_t ki = 0; ki < kh; ++ki) {
-      for (std::size_t kj = 0; kj < kw; ++kj, ++row) {
-        std::uint8_t* dst = columns + row * rstride;
-        for (std::size_t oy = 0; oy < out_h; ++oy) {
-          const long iy = static_cast<long>(oy * stride + ki) - static_cast<long>(pad);
-          if (iy < 0 || iy >= static_cast<long>(height)) {
-            std::memset(dst + oy * out_w, zp8, out_w);
-            continue;
-          }
-          const float* src_row = input + (c * height + static_cast<std::size_t>(iy)) * width;
-          for (std::size_t ox = 0; ox < out_w; ++ox) {
-            const long ix = static_cast<long>(ox * stride + kj) - static_cast<long>(pad);
-            dst[oy * out_w + ox] =
-                (ix < 0 || ix >= static_cast<long>(width))
-                    ? zp8
-                    : quantize_u8(src_row[static_cast<std::size_t>(ix)], inv_scale, zp);
-          }
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------- float glue
-
-void add_relu_inplace(Tensor& h, const Tensor& identity) {
-  if (h.numel() != identity.numel())
-    throw std::logic_error("quant: residual shape mismatch");
-  float* d = h.data();
-  const float* id = identity.data();
-  const std::size_t n = h.numel();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float v = d[i] + id[i];
-    d[i] = v > 0.0f ? v : 0.0f;
-  }
-}
 
 Tensor maxpool_f(const Tensor& x, std::size_t k, std::size_t stride) {
   const std::size_t b = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
@@ -247,40 +190,20 @@ void calib_forward(const std::vector<WalkItem>& items, Linear* projection, const
 
 // -------------------------------------------------------------- BN folding
 
-/// Fold the (optional) trailing BatchNorm into the conv and quantize the
-/// result per-output-channel to ±kWeightMax symmetric codes.
-QuantizedConv2d fold_conv(Conv2d& conv, BatchNorm2d* bn, bool fuse_relu,
-                          const QuantParams& in_q) {
-  QuantizedConv2d q;
-  q.in_c = conv.in_channels();
-  q.out_c = conv.out_channels();
-  q.k = conv.kernel();
-  q.stride = conv.stride();
-  q.pad = conv.padding();
-  q.fuse_relu = fuse_relu;
-  q.in_q = in_q;
-  const std::size_t krows = q.in_c * q.k * q.k;
+/// Quantize q.out_c rows of krows float weights W, row oc first scaled by
+/// a[oc], per row to ±kWeightMax symmetric codes; fills q.weight, q.w_scale
+/// and q.wsum.
+void quantize_weights(QuantizedConv2d& q, const float* W, std::size_t krows,
+                      const std::vector<float>& a) {
   q.weight.resize(q.out_c * krows);
   q.w_scale.resize(q.out_c);
-  q.bias.resize(q.out_c);
   q.wsum.resize(q.out_c);
-
-  const float* W = conv.weight().value.data();
-  const float* cb = conv.has_bias() ? conv.bias().value.data() : nullptr;
   std::vector<float> wf(krows);
   for (std::size_t oc = 0; oc < q.out_c; ++oc) {
-    float a = 1.0f, shift = 0.0f;
-    if (bn) {
-      const float inv_std = 1.0f / std::sqrt(bn->running_var()[oc] + bn->eps());
-      a = bn->gamma()[oc] * inv_std;
-      shift = bn->beta()[oc] - bn->running_mean()[oc] * a;
-    }
-    q.bias[oc] = (cb ? cb[oc] : 0.0f) * a + shift;
-
     const float* wrow = W + oc * krows;
     float max_abs = 0.0f;
     for (std::size_t r = 0; r < krows; ++r) {
-      wf[r] = wrow[r] * a;
+      wf[r] = wrow[r] * a[oc];
       max_abs = std::max(max_abs, std::fabs(wf[r]));
     }
     const float s = max_abs > 0.0f ? max_abs / static_cast<float>(kWeightMax) : 1.0f;
@@ -296,38 +219,45 @@ QuantizedConv2d fold_conv(Conv2d& conv, BatchNorm2d* bn, bool fuse_relu,
     }
     q.wsum[oc] = sum;
   }
+}
+
+/// Fold the (optional) trailing BatchNorm into the conv and quantize the
+/// result per-output-channel to ±kWeightMax symmetric codes.
+QuantizedConv2d fold_conv(Conv2d& conv, BatchNorm2d* bn, bool fuse_relu,
+                          const QuantParams& in_q) {
+  QuantizedConv2d q;
+  q.in_c = conv.in_channels();
+  q.out_c = conv.out_channels();
+  q.k = conv.kernel();
+  q.stride = conv.stride();
+  q.pad = conv.padding();
+  q.fuse_relu = fuse_relu;
+  q.in_q = in_q;
+  q.bias.resize(q.out_c);
+  std::vector<float> a(q.out_c, 1.0f);
+  const float* cb = conv.has_bias() ? conv.bias().value.data() : nullptr;
+  for (std::size_t oc = 0; oc < q.out_c; ++oc) {
+    float shift = 0.0f;
+    if (bn) {
+      const float inv_std = 1.0f / std::sqrt(bn->running_var()[oc] + bn->eps());
+      a[oc] = bn->gamma()[oc] * inv_std;
+      shift = bn->beta()[oc] - bn->running_mean()[oc] * a[oc];
+    }
+    q.bias[oc] = (cb ? cb[oc] : 0.0f) * a[oc] + shift;
+  }
+  quantize_weights(q, conv.weight().value.data(), q.in_c * q.k * q.k, a);
   return q;
 }
 
-QuantizedLinear fold_linear(Linear& fc, const QuantParams& in_q) {
-  QuantizedLinear q;
-  q.in_f = fc.in_features();
-  q.out_f = fc.out_features();
+/// The projection FC as the 1×1 conv over [B, in, 1, 1] that it is.
+QuantizedConv2d fold_linear(Linear& fc, const QuantParams& in_q) {
+  QuantizedConv2d q;
+  q.in_c = fc.in_features();
+  q.out_c = fc.out_features();
   q.in_q = in_q;
-  q.weight.resize(q.out_f * q.in_f);
-  q.w_scale.resize(q.out_f);
-  q.bias.resize(q.out_f);
-  q.wsum.resize(q.out_f);
-  const float* W = fc.weight().value.data();
   const float* b = fc.has_bias() ? fc.bias().value.data() : nullptr;
-  for (std::size_t o = 0; o < q.out_f; ++o) {
-    q.bias[o] = b ? b[o] : 0.0f;
-    const float* wrow = W + o * q.in_f;
-    float max_abs = 0.0f;
-    for (std::size_t j = 0; j < q.in_f; ++j) max_abs = std::max(max_abs, std::fabs(wrow[j]));
-    const float s = max_abs > 0.0f ? max_abs / static_cast<float>(kWeightMax) : 1.0f;
-    q.w_scale[o] = s;
-    const float inv_s = 1.0f / s;
-    std::int32_t sum = 0;
-    for (std::size_t j = 0; j < q.in_f; ++j) {
-      const float v = wrow[j] * inv_s;
-      int code = static_cast<int>(v >= 0.0f ? v + 0.5f : v - 0.5f);
-      code = std::clamp(code, -kWeightMax, kWeightMax);
-      q.weight[o * q.in_f + j] = static_cast<std::int8_t>(code);
-      sum += code;
-    }
-    q.wsum[o] = sum;
-  }
+  q.bias = b ? std::vector<float>(b, b + q.out_c) : std::vector<float>(q.out_c, 0.0f);
+  quantize_weights(q, fc.weight().value.data(), q.in_c, std::vector<float>(q.out_c, 1.0f));
   return q;
 }
 
@@ -361,6 +291,45 @@ void read_f32_vec(std::istream& is, std::vector<float>& v, std::size_t n, const 
   if (!is) throw std::runtime_error(std::string("quant: truncated reading ") + what);
 }
 
+/// The record tail a conv and a linear record share: input qparams, the
+/// [out_c, krows] s8 codes, the weight scales and the bias.
+void write_weights(std::ostream& os, const QuantizedConv2d& q) {
+  write_qparams(os, q.in_q);
+  os.write(reinterpret_cast<const char*>(q.weight.data()),
+           static_cast<std::streamsize>(q.weight.size()));
+  write_f32_vec(os, q.w_scale);
+  write_f32_vec(os, q.bias);
+}
+
+/// Read write_weights' tail for q's geometry, naming `kind` ("conv" or
+/// "linear") in every error. Recomputes the zero-point correction sums and
+/// re-asserts the ±63 range contract — a corrupt weight byte must not
+/// silently break the GEMM's exactness guarantee.
+void read_weights(std::istream& is, QuantizedConv2d& q, const std::string& kind) {
+  q.in_q = read_qparams(is, (kind + " input qparams").c_str());
+  const std::size_t krows = q.in_c * q.k * q.k;
+  const std::string what = kind + " int8 weights";
+  check_readable(is, q.out_c * krows, 1, what.c_str());
+  q.weight.resize(q.out_c * krows);
+  is.read(reinterpret_cast<char*>(q.weight.data()),
+          static_cast<std::streamsize>(q.weight.size()));
+  if (!is) throw std::runtime_error("quant: truncated reading " + what);
+  read_f32_vec(is, q.w_scale, q.out_c, (kind + " weight scales").c_str());
+  read_f32_vec(is, q.bias, q.out_c, (kind + " bias").c_str());
+  q.wsum.assign(q.out_c, 0);
+  for (std::size_t oc = 0; oc < q.out_c; ++oc) {
+    std::int32_t sum = 0;
+    for (std::size_t r = 0; r < krows; ++r) {
+      const int code = q.weight[oc * krows + r];
+      if (code < -kWeightMax || code > kWeightMax)
+        throw std::runtime_error("quant: corrupt record '" + what + "': code " +
+                                 std::to_string(code) + " outside [-63, 63]");
+      sum += code;
+    }
+    q.wsum[oc] = sum;
+  }
+}
+
 void write_conv(std::ostream& os, const QuantizedConv2d& q) {
   write_pod<std::uint64_t>(os, q.in_c);
   write_pod<std::uint64_t>(os, q.out_c);
@@ -368,11 +337,7 @@ void write_conv(std::ostream& os, const QuantizedConv2d& q) {
   write_pod<std::uint64_t>(os, q.stride);
   write_pod<std::uint64_t>(os, q.pad);
   write_pod<std::uint8_t>(os, q.fuse_relu ? 1 : 0);
-  write_qparams(os, q.in_q);
-  os.write(reinterpret_cast<const char*>(q.weight.data()),
-           static_cast<std::streamsize>(q.weight.size()));
-  write_f32_vec(os, q.w_scale);
-  write_f32_vec(os, q.bias);
+  write_weights(os, q);
 }
 
 QuantizedConv2d read_conv(std::istream& is) {
@@ -382,73 +347,29 @@ QuantizedConv2d read_conv(std::istream& is) {
   q.k = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "conv kernel"));
   q.stride = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "conv stride"));
   q.pad = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "conv pad"));
+  // Every conv the builder folds has pad <= k/2.
   if (q.out_c == 0 || q.in_c == 0 || q.k == 0 || q.stride == 0 || q.out_c > (1u << 20) ||
-      q.in_c > (1u << 20) || q.k > 64)
+      q.in_c > (1u << 20) || q.k > 64 || q.pad >= q.k)
     throw std::runtime_error("quant: corrupt record 'conv geometry'");
   q.fuse_relu = read_pod<std::uint8_t>(is, "conv fuse_relu") != 0;
-  q.in_q = read_qparams(is, "conv input qparams");
-  const std::size_t krows = q.in_c * q.k * q.k;
-  check_readable(is, q.out_c * krows, 1, "conv int8 weights");
-  q.weight.resize(q.out_c * krows);
-  is.read(reinterpret_cast<char*>(q.weight.data()),
-          static_cast<std::streamsize>(q.weight.size()));
-  if (!is) throw std::runtime_error("quant: truncated reading conv int8 weights");
-  read_f32_vec(is, q.w_scale, q.out_c, "conv weight scales");
-  read_f32_vec(is, q.bias, q.out_c, "conv bias");
-  // Recompute the zero-point correction sums and re-assert the ±63 range
-  // contract — a corrupt weight byte must not silently break the GEMM's
-  // exactness guarantee.
-  q.wsum.assign(q.out_c, 0);
-  for (std::size_t oc = 0; oc < q.out_c; ++oc) {
-    std::int32_t sum = 0;
-    for (std::size_t r = 0; r < krows; ++r) {
-      const int code = q.weight[oc * krows + r];
-      if (code < -kWeightMax || code > kWeightMax)
-        throw std::runtime_error("quant: corrupt record 'conv int8 weights': code " +
-                                 std::to_string(code) + " outside [-63, 63]");
-      sum += code;
-    }
-    q.wsum[oc] = sum;
-  }
+  read_weights(is, q, "conv");
   return q;
 }
 
-void write_linear(std::ostream& os, const QuantizedLinear& q) {
-  write_pod<std::uint64_t>(os, q.in_f);
-  write_pod<std::uint64_t>(os, q.out_f);
-  write_qparams(os, q.in_q);
-  os.write(reinterpret_cast<const char*>(q.weight.data()),
-           static_cast<std::streamsize>(q.weight.size()));
-  write_f32_vec(os, q.w_scale);
-  write_f32_vec(os, q.bias);
+/// The linear record: in and out features, then the shared tail.
+void write_linear(std::ostream& os, const QuantizedConv2d& q) {
+  write_pod<std::uint64_t>(os, q.in_c);
+  write_pod<std::uint64_t>(os, q.out_c);
+  write_weights(os, q);
 }
 
-QuantizedLinear read_linear(std::istream& is) {
-  QuantizedLinear q;
-  q.in_f = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "linear in_features"));
-  q.out_f = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "linear out_features"));
-  if (q.in_f == 0 || q.out_f == 0 || q.in_f > (1u << 24) || q.out_f > (1u << 24))
+QuantizedConv2d read_linear(std::istream& is) {
+  QuantizedConv2d q;
+  q.in_c = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "linear in_features"));
+  q.out_c = static_cast<std::size_t>(read_pod<std::uint64_t>(is, "linear out_features"));
+  if (q.in_c == 0 || q.out_c == 0 || q.in_c > (1u << 24) || q.out_c > (1u << 24))
     throw std::runtime_error("quant: corrupt record 'linear geometry'");
-  q.in_q = read_qparams(is, "linear input qparams");
-  check_readable(is, q.out_f * q.in_f, 1, "linear int8 weights");
-  q.weight.resize(q.out_f * q.in_f);
-  is.read(reinterpret_cast<char*>(q.weight.data()),
-          static_cast<std::streamsize>(q.weight.size()));
-  if (!is) throw std::runtime_error("quant: truncated reading linear int8 weights");
-  read_f32_vec(is, q.w_scale, q.out_f, "linear weight scales");
-  read_f32_vec(is, q.bias, q.out_f, "linear bias");
-  q.wsum.assign(q.out_f, 0);
-  for (std::size_t o = 0; o < q.out_f; ++o) {
-    std::int32_t sum = 0;
-    for (std::size_t j = 0; j < q.in_f; ++j) {
-      const int code = q.weight[o * q.in_f + j];
-      if (code < -kWeightMax || code > kWeightMax)
-        throw std::runtime_error("quant: corrupt record 'linear int8 weights': code " +
-                                 std::to_string(code) + " outside [-63, 63]");
-      sum += code;
-    }
-    q.wsum[o] = sum;
-  }
+  read_weights(is, q, "linear");
   return q;
 }
 
@@ -606,91 +527,23 @@ CalibrationTable load_calibration(std::istream& is) {
 
 // ------------------------------------------------------------- quantized ops
 
-Tensor QuantizedConv2d::forward(const Tensor& x) const {
+Tensor QuantizedConv2d::forward(const Tensor& x, const Tensor* residual) const {
   if (x.dim() != 4 || x.size(1) != in_c)
     throw std::invalid_argument("QuantizedConv2d::forward: input " +
                                 tensor::shape_str(x.shape()) +
                                 " incompatible with in_channels=" + std::to_string(in_c));
-  const std::size_t batch = x.size(0), h = x.size(2), w = x.size(3);
-  const std::size_t oh = out_size(h), ow = out_size(w);
-  Tensor y({batch, out_c, oh, ow});
-  const std::size_t krows = in_c * k * k;
-  const std::size_t ncols = oh * ow;
-  const std::size_t total = batch * ncols;
-  const float* X = x.data();
-  float* Y = y.data();
-
-  // Whole-batch u8 column matrix, same layout as the float conv: image b
-  // owns the contiguous column slice [b*ncols, (b+1)*ncols).
-  std::uint8_t* cols = tensor::scratch_u8(tensor::kScratchConvCols, krows * total);
-  const float inv_scale = 1.0f / in_q.scale;
-  const std::int32_t zp = in_q.zero_point;
-  util::parallel_for(0, batch, [&](std::size_t b) {
-    im2col_u8(X + b * in_c * h * w, in_c, h, w, k, k, stride, pad, inv_scale, zp,
-              cols + b * ncols, total);
-  }, 1);
-
-  // One integer GEMM for the whole batch: acc[out_c, batch*ncols] s32.
-  std::int32_t* acc = tensor::scratch_i32(tensor::kScratchConvOut, out_c * total);
-  std::memset(acc, 0, out_c * total * sizeof(std::int32_t));
-  tensor::gemm_s8u8_accumulate(out_c, total, krows, weight.data(), krows, cols, total, acc,
-                               total);
-
-  // Dequantize with the zero-point correction, fold in bias (+ fused ReLU),
-  // scatter channel-major rows back to NCHW.
-  const float s_in = in_q.scale;
-  util::parallel_for(0, batch, [&](std::size_t b) {
-    float* yb = Y + b * out_c * ncols;
-    for (std::size_t oc = 0; oc < out_c; ++oc) {
-      const std::int32_t* src = acc + oc * total + b * ncols;
-      const float sc = s_in * w_scale[oc];
-      const std::int32_t corr = zp * wsum[oc];
-      const float bv = bias[oc];
-      float* yrow = yb + oc * ncols;
-      if (fuse_relu) {
-        for (std::size_t c = 0; c < ncols; ++c) {
-          const float v = sc * static_cast<float>(src[c] - corr) + bv;
-          yrow[c] = v > 0.0f ? v : 0.0f;
-        }
-      } else {
-        for (std::size_t c = 0; c < ncols; ++c)
-          yrow[c] = sc * static_cast<float>(src[c] - corr) + bv;
-      }
-    }
-  }, 1);
-  return y;
-}
-
-Tensor QuantizedLinear::forward(const Tensor& x) const {
-  if (x.dim() != 2 || x.size(1) != in_f)
-    throw std::invalid_argument("QuantizedLinear::forward: input " +
-                                tensor::shape_str(x.shape()) +
-                                " incompatible with in_features=" + std::to_string(in_f));
-  const std::size_t batch = x.size(0);
-  Tensor y({batch, out_f});
-  const float* X = x.data();
-  float* Y = y.data();
-
-  // Quantize x transposed to [in_f, batch] so the GEMM runs weights-major:
-  // acc[out_f, batch] = W[out_f, in_f] · xqT[in_f, batch].
-  std::uint8_t* xqT = tensor::scratch_u8(tensor::kScratchConvCols, in_f * batch);
-  const float inv_scale = 1.0f / in_q.scale;
-  const std::int32_t zp = in_q.zero_point;
-  util::parallel_for(0, batch, [&](std::size_t b) {
-    const float* xb = X + b * in_f;
-    for (std::size_t j = 0; j < in_f; ++j) xqT[j * batch + b] = quantize_u8(xb[j], inv_scale, zp);
-  }, 1);
-
-  std::int32_t* acc = tensor::scratch_i32(tensor::kScratchConvOut, out_f * batch);
-  std::memset(acc, 0, out_f * batch * sizeof(std::int32_t));
-  tensor::gemm_s8u8_accumulate(out_f, batch, in_f, weight.data(), in_f, xqT, batch, acc, batch);
-
-  const float s_in = in_q.scale;
-  util::parallel_for(0, batch, [&](std::size_t b) {
-    float* yb = Y + b * out_f;
-    for (std::size_t o = 0; o < out_f; ++o)
-      yb[o] = s_in * w_scale[o] * static_cast<float>(acc[o * batch + b] - zp * wsum[o]) + bias[o];
-  }, 1);
+  const tensor::ConvShape s{x.size(0), in_c, x.size(2), x.size(3), out_c, k, stride, pad};
+  if (s.h + 2 * pad < k || s.w + 2 * pad < k)
+    throw std::invalid_argument("QuantizedConv2d::forward: input " +
+                                tensor::shape_str(x.shape()) + " smaller than the " +
+                                std::to_string(k) + "x" + std::to_string(k) + " window");
+  Tensor y({s.batch, out_c, s.out_h(), s.out_w()});
+  if (residual && residual->shape() != y.shape())
+    throw std::logic_error("quant: residual shape mismatch");
+  const tensor::QuantConvEpilogue ep{in_q.scale,  in_q.zero_point, w_scale.data(), wsum.data(),
+                                     bias.data(), fuse_relu,       residual ? residual->data()
+                                                                            : nullptr};
+  tensor::gemm_s8u8_conv(s, weight.data(), x.data(), ep, y.data());
   return y;
 }
 
@@ -790,7 +643,7 @@ std::shared_ptr<QuantizedEmbed> QuantizedEmbed::build(Sequential& backbone, Line
   if (projection) {
     Node node;
     node.kind = Node::Kind::kLinear;
-    node.linear = fold_linear(*projection, next_q());
+    node.conv = fold_linear(*projection, next_q());
     embed->nodes_.push_back(std::move(node));
   }
   return embed;
@@ -804,16 +657,15 @@ Tensor QuantizedEmbed::forward(const Tensor& images) const {
         x = n.conv.forward(x);
         break;
       case Node::Kind::kBlock: {
+        // The last conv adds the identity and applies the block's ReLU.
+        const Tensor identity = n.block.down ? n.block.down->forward(x) : x;
         Tensor h = n.block.conv1.forward(x);
-        h = n.block.conv2.forward(h);
-        if (n.block.conv3) h = n.block.conv3->forward(h);
-        if (n.block.down) {
-          Tensor identity = n.block.down->forward(x);
-          add_relu_inplace(h, identity);
+        if (n.block.conv3) {
+          h = n.block.conv2.forward(h);
+          x = n.block.conv3->forward(h, &identity);
         } else {
-          add_relu_inplace(h, x);
+          x = n.block.conv2.forward(h, &identity);
         }
-        x = std::move(h);
         break;
       }
       case Node::Kind::kMaxPool:
@@ -825,9 +677,11 @@ Tensor QuantizedEmbed::forward(const Tensor& images) const {
       case Node::Kind::kFlatten:
         x = x.reshape({x.size(0), x.numel() / x.size(0)});
         break;
-      case Node::Kind::kLinear:
-        x = n.linear.forward(x);
+      case Node::Kind::kLinear: {
+        const std::size_t batch = x.size(0);
+        x = n.conv.forward(x.reshape({batch, x.size(1), 1, 1})).reshape({batch, n.conv.out_c});
         break;
+      }
     }
   }
   return x;
@@ -853,7 +707,7 @@ QuantizedEmbed::QuantInfo QuantizedEmbed::info() const {
         break;
       case Node::Kind::kLinear:
         ++qi.n_linear;
-        qi.weight_bytes += n.linear.weight.size();
+        qi.weight_bytes += n.conv.weight.size();
         break;
       default:
         break;
@@ -889,7 +743,7 @@ void QuantizedEmbed::save(std::ostream& os) const {
       case Node::Kind::kFlatten:
         break;
       case Node::Kind::kLinear:
-        write_linear(os, n.linear);
+        write_linear(os, n.conv);
         break;
     }
   }
@@ -941,7 +795,7 @@ std::shared_ptr<QuantizedEmbed> QuantizedEmbed::load(std::istream& is) {
         break;
       case Node::Kind::kLinear:
         node.kind = Node::Kind::kLinear;
-        node.linear = read_linear(is);
+        node.conv = read_linear(is);
         break;
       default:
         throw std::runtime_error("quant: corrupt record 'quant node kind': " +

@@ -10,11 +10,14 @@
 //     clamped to ±63 — the range contract of tensor::gemm_s8u8_accumulate
 //     that keeps the AVX2 vpmaddubsw pair sums below the s16 limit, making
 //     every ISA path bit-exact.
-//   * compute: u8×s8→s32 GEMM (tensor/gemm_int8.hpp); each quantized op
-//     dequantizes its s32 accumulator back to float with the zero-point
-//     correction  y = s_in·s_w[oc]·(acc − zp·Σw[oc]) + b'[oc],  so the
-//     inter-op glue (ReLU, pooling, residual adds) runs in plain float and
-//     the next op re-quantizes with its own calibrated range.
+//   * compute: every quantized op — each conv, and the projection FC as
+//     the 1×1 conv over [B, in, 1, 1] that it is — runs tensor::
+//     gemm_s8u8_conv (tensor/gemm_int8.hpp), which dequantizes each exact
+//     s32 sum in its write-back with the zero-point correction
+//     y = s_in·s_w[oc]·(acc − zp·Σw[oc]) + b'[oc], then applies the op's
+//     ReLU and a residual block's +identity → ReLU. Pooling runs in plain
+//     float between ops, and the next op re-quantizes with its own
+//     calibrated range.
 //
 // Calibration harvests per-tensor input ranges by walking the float model
 // over a calibration set: moving min/max (EMA) by default, or a
@@ -100,13 +103,16 @@ struct CalibrationTable {
 void save_calibration(std::ostream& os, const CalibrationTable& table);
 CalibrationTable load_calibration(std::istream& is);
 
-/// One BN-folded conv with frozen int8 weights. Forward quantizes its float
-/// input with `in_q` (padding fills the zero-point), runs the whole batch
-/// through one u8 im2col + one s8u8 GEMM, and dequantizes — optionally
-/// fusing the trailing ReLU. Steady-state allocation-free (scratch pools)
-/// and const-thread-safe.
+/// One BN-folded conv with frozen int8 weights; the projection FC is the
+/// default 1×1, stride-1, unpadded geometry. Forward runs the whole batch
+/// through tensor::gemm_s8u8_conv: it quantizes the float input with
+/// `in_q` (padding is the zero point), dequantizes in the write-back and
+/// applies the fused ReLU, then with a `residual` (shaped like the output)
+/// adds it and applies ReLU again. Throws std::invalid_argument for an
+/// input of the wrong channel count or smaller than the kernel window.
+/// Steady-state allocation-free (scratch pools) and const-thread-safe.
 struct QuantizedConv2d {
-  std::size_t in_c = 0, out_c = 0, k = 0, stride = 0, pad = 0;
+  std::size_t in_c = 0, out_c = 0, k = 1, stride = 1, pad = 0;
   bool fuse_relu = false;
   QuantParams in_q;
   std::vector<std::int8_t> weight;  ///< [out_c, in_c*k*k] codes in [-63, 63]
@@ -114,26 +120,12 @@ struct QuantizedConv2d {
   std::vector<float> bias;          ///< BN-folded float bias [out_c]
   std::vector<std::int32_t> wsum;   ///< per-channel Σ codes (zp correction)
 
-  std::size_t out_size(std::size_t in) const { return (in + 2 * pad - k) / stride + 1; }
-  Tensor forward(const Tensor& x) const;
-};
-
-/// Frozen int8 projection layer, same scheme ([out, in] weights).
-struct QuantizedLinear {
-  std::size_t in_f = 0, out_f = 0;
-  QuantParams in_q;
-  std::vector<std::int8_t> weight;
-  std::vector<float> w_scale;
-  std::vector<float> bias;
-  std::vector<std::int32_t> wsum;
-
-  Tensor forward(const Tensor& x) const;
+  Tensor forward(const Tensor& x, const Tensor* residual = nullptr) const;
 };
 
 /// Frozen int8 replica of the embed path γ(·): the backbone Sequential with
 /// BN folded away plus the optional projection Linear, as a flat node list.
-/// Residual adds, ReLU glue and pooling run in float between quantized ops
-/// (the quantized ops dominate runtime; the glue is memory-bound either way).
+/// Max-pool and global average pool run in float between quantized ops.
 class QuantizedEmbed {
  public:
   struct Block {
@@ -152,10 +144,9 @@ class QuantizedEmbed {
       kLinear = 5,   ///< projection FC
     };
     Kind kind = Kind::kConv;
-    QuantizedConv2d conv;
+    QuantizedConv2d conv;  ///< kConv; kLinear: the FC as a 1×1 conv over [B, in, 1, 1]
     Block block;
     std::size_t pool_k = 0, pool_stride = 0;
-    QuantizedLinear linear;
   };
 
   /// Walk the float model over `images` [N,3,S,S] in eval mode, harvesting

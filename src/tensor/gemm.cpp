@@ -6,12 +6,14 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "tensor/gemm_blocking.hpp"
 #include "tensor/scratch.hpp"
-#include "util/parallel.hpp"
 
 namespace hdczsc::tensor {
 
 namespace {
+
+using detail::round_up;
 
 /// Profiling hook (obs::set_profiling_enabled): wall time of each top-level
 /// gemm_accumulate / gemm_packed / gemm_conv call. Magic static — one
@@ -195,9 +197,7 @@ const KernelConfig& kernel() {
   return cfg;
 }
 
-std::size_t round_up(std::size_t x, std::size_t to) { return (x + to - 1) / to * to; }
-
-/// Run the flattened (jc, ic) block-task grid of C[m, n] += op(A) * op(B).
+/// C[m, n] += op(A) * op(B) on the shared block-task grid (gemm_blocking.hpp).
 /// `b_block(jc, nc, pc, kc)` yields the packed op(B)[pc:pc+kc, jc:jc+nc]
 /// panels for the calling thread. Each task packs its own A panels into
 /// thread-local scratch, so workers never share pack buffers. After a
@@ -207,78 +207,23 @@ template <typename BBlock, typename Finish>
 void run_blocked(const KernelConfig& cfg, Trans ta, std::size_t m, std::size_t n, std::size_t k,
                  const float* A, std::size_t lda, const CView& c, const BBlock& b_block,
                  const Finish& finish) {
-  const std::size_t workers = m * n * k < kGemmInlineMacs ? 1 : util::worker_count();
-  // Shrink the row-block height when the (jc, ic) grid alone would leave
-  // workers idle (e.g. Linear layers: m = batch <= 128, n <= 1024 is a
-  // single MC x NC block). Extra row blocks re-pack B redundantly, so only
-  // split as far as the pool can use, never below two tile rows.
-  std::size_t mc_blk = kMC;
-  if (workers > 1) {
-    const std::size_t jblocks = (n + kNC - 1) / kNC;
-    const std::size_t want_iblocks = (workers + jblocks - 1) / jblocks;
-    if (want_iblocks > 1) {
-      const std::size_t per = std::max((m + want_iblocks - 1) / want_iblocks, 2 * cfg.mr);
-      mc_blk = std::min(kMC, round_up(per, cfg.mr));
-    }
-  }
-  const std::size_t n_iblocks = (m + mc_blk - 1) / mc_blk;
-  const std::size_t n_tasks = n_iblocks * ((n + kNC - 1) / kNC);
-  const auto task = [&](std::size_t t) {
-    const std::size_t ic = (t % n_iblocks) * mc_blk;
-    const std::size_t jc = (t / n_iblocks) * kNC;
-    const std::size_t mc = std::min(mc_blk, m - ic);
-    const std::size_t nc = std::min(kNC, n - jc);
-    float* apack = scratch_f32(kScratchGemmPackA, round_up(mc, cfg.mr) * kKC);
-    for (std::size_t pc = 0; pc < k; pc += kKC) {
-      const std::size_t kc = std::min(kKC, k - pc);
-      const float* bpack = b_block(jc, nc, pc, kc);
-      pack_a(A, lda, ta, ic, pc, mc, kc, cfg.mr, apack);
-      cfg.macro(apack, bpack, mc, nc, kc, c, ic, jc);
-    }
-    finish(ic, mc, jc, nc);
-  };
-  if (workers > 1) {
-    util::parallel_for(0, n_tasks, task, 1);
-  } else {
-    for (std::size_t t = 0; t < n_tasks; ++t) task(t);
-  }
+  detail::run_block_grid(m, n, k, cfg.mr, kMC, kNC,
+                         [&](std::size_t ic, std::size_t mc, std::size_t jc, std::size_t nc) {
+                           float* apack =
+                               scratch_f32(kScratchGemmPackA, round_up(mc, cfg.mr) * kKC);
+                           for (std::size_t pc = 0; pc < k; pc += kKC) {
+                             const std::size_t kc = std::min(kKC, k - pc);
+                             const float* bpack = b_block(jc, nc, pc, kc);
+                             pack_a(A, lda, ta, ic, pc, mc, kc, cfg.mr, apack);
+                             cfg.macro(apack, bpack, mc, nc, kc, c, ic, jc);
+                           }
+                           finish(ic, mc, jc, nc);
+                         });
 }
 
 constexpr auto kNoFinish = [](std::size_t, std::size_t, std::size_t, std::size_t) {};
 
 // ------------------------------------------------------------- convolution
-
-/// dst[p*ld + u] = src[tap[p] + u*stride] for p < kc, u < len: one run of
-/// columns of a convolution's B panel, one strided copy per kernel tap.
-/// Instantiated for the run widths resnet shapes produce under each NR, so
-/// that those copies are fixed-length and unrolled.
-template <std::size_t kLen, std::size_t kStride>
-void copy_run(float* dst, std::size_t ld, const float* src, const std::size_t* tap,
-              std::size_t kc, std::size_t len, std::size_t stride) {
-  if constexpr (kLen != 0) len = kLen;
-  if constexpr (kStride != 0) stride = kStride;
-  for (std::size_t p = 0; p < kc; ++p, dst += ld) {
-    const float* s = src + tap[p];
-    for (std::size_t u = 0; u < len; ++u) dst[u] = s[u * stride];
-  }
-}
-
-using CopyRunFn = void (*)(float*, std::size_t, const float*, const std::size_t*, std::size_t,
-                           std::size_t, std::size_t);
-
-CopyRunFn pick_copy_run(std::size_t len, std::size_t stride) {
-  if (stride == 1 || stride == 2) {
-    const bool s1 = stride == 1;
-    switch (len) {
-      case 8: return s1 ? copy_run<8, 1> : copy_run<8, 2>;
-      case 16: return s1 ? copy_run<16, 1> : copy_run<16, 2>;
-      case 24: return s1 ? copy_run<24, 1> : copy_run<24, 2>;
-      case 32: return s1 ? copy_run<32, 1> : copy_run<32, 2>;
-      default: break;
-    }
-  }
-  return copy_run<0, 0>;
-}
 
 /// dst[y*ld + u] = src[y*w + u] for y < rows, u < w: an image plane's rows
 /// into the interior of its zero-padded copy.
@@ -297,46 +242,6 @@ CopyRowsFn pick_copy_rows(std::size_t w) {
     case 16: return copy_rows<16>;
     case 32: return copy_rows<32>;
     default: return copy_rows<0>;
-  }
-}
-
-/// Pack rows [pc, pc+kc) x columns [jc, jc+nc) of a convolution's im2col
-/// matrix into NR-wide panels laid out as pack_b lays them, reading the
-/// zero-padded images xp [batch, in_c, hp, wp] directly. Column j is output
-/// pixel (oy, ox) of image j / (oh·ow); row r is the kernel tap (c, ki, kj)
-/// with r = (c·k + ki)·k + kj; the element is xp[img][c][oy·stride + ki]
-/// [ox·stride + kj], always in bounds. Each panel is cut once into runs of
-/// columns on one output row; for every tap a run is one copy of len floats
-/// spaced `stride` apart in one input row.
-void pack_b_conv(const ConvShape& s, const float* xp, std::size_t hp, std::size_t wp,
-                 std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc,
-                 std::size_t nr_tile, float* buf) {
-  const std::size_t kk = s.kernel, ow = s.out_w(), ncols = s.out_h() * ow;
-  const std::size_t plane = hp * wp, stride = s.stride;
-  std::size_t tap[kKC];  // offset of tap pc + p from its column's first tap
-  std::size_t c = pc / (kk * kk), ki = pc / kk % kk, kj = pc % kk;
-  for (std::size_t p = 0; p < kc; ++p) {
-    tap[p] = c * plane + ki * wp + kj;
-    if (++kj == kk) {
-      kj = 0;
-      if (++ki == kk) {
-        ki = 0;
-        ++c;
-      }
-    }
-  }
-  for (std::size_t jr = 0; jr < nc; jr += nr_tile, buf += kc * nr_tile) {
-    const std::size_t nr = std::min(nr_tile, nc - jr);
-    for (std::size_t t = 0; t < nr;) {
-      const std::size_t j = jc + jr + t, img = j / ncols, oy = j % ncols / ow, ox = j % ow;
-      const std::size_t len = std::min(nr - t, ow - ox);
-      pick_copy_run(len, stride)(buf + t, nr_tile,
-                                 xp + img * s.in_c * plane + oy * stride * wp + ox * stride, tap,
-                                 kc, len, stride);
-      t += len;
-    }
-    for (std::size_t p = 0; p < kc; ++p)
-      for (std::size_t t = nr; t < nr_tile; ++t) buf[p * nr_tile + t] = 0.0f;
   }
 }
 
@@ -527,7 +432,7 @@ void gemm_conv(const ConvShape& s, const float* W, const float* X, const ConvEpi
       cfg, Trans::N, m, n, k, W, k, view,
       [&](std::size_t jc, std::size_t nc, std::size_t pc, std::size_t kc) {
         float* bpack = scratch_f32(kScratchGemmPackB, round_up(nc, cfg.nr) * kKC);
-        pack_b_conv(s, xp, hp, wp, pc, jc, kc, nc, cfg.nr, bpack);
+        detail::pack_b_conv<float, 1, kKC>(s, xp, hp, wp, pc, jc, kc, nc, cfg.nr, bpack);
         return static_cast<const float*>(bpack);
       },
       finish);

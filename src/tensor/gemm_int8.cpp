@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 
 #include "obs/metrics.hpp"
+#include "tensor/gemm_blocking.hpp"
 #include "tensor/scratch.hpp"
-#include "util/parallel.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define HDCZSC_GEMM_INT8_X86 1
@@ -19,7 +20,7 @@ namespace {
 
 obs::Histogram* gemm_int8_hist() {
   static const std::shared_ptr<obs::Histogram> h = obs::default_registry().histogram(
-      "tensor_gemm_int8_ms", {}, "wall time of one gemm_s8u8_accumulate call");
+      "tensor_gemm_int8_ms", {}, "wall time of one gemm_s8u8_accumulate or gemm_s8u8_conv call");
   return h.get();
 }
 
@@ -64,45 +65,72 @@ void pack_a(const std::int8_t* A, std::size_t lda, std::size_t ic, std::size_t p
   }
 }
 
-/// Pack B[pc:pc+kc, jc:jc+nc] into NR-wide panels of k-quads: within a
-/// panel, quad g holds each column j's bytes [4g..4g+3][j] contiguously —
-/// the layout vpmaddubsw/vpdpbusd consume directly. Ragged columns and the
-/// final quad are zero-filled (they only ever meet zero-padded A rows or
-/// are masked by the ragged-tile store).
-void pack_b(const std::uint8_t* B, std::size_t ldb, std::size_t pc, std::size_t jc,
-            std::size_t kc, std::size_t nc, std::size_t nr_tile, std::uint8_t* buf) {
-  const std::size_t full_g = kc / 4;
-  const std::size_t kg = (kc + 3) / 4;
-  for (std::size_t jr = 0; jr < nc; jr += nr_tile) {
-    const std::size_t nr = std::min(nr_tile, nc - jr);
-    const std::uint8_t* col0 = B + pc * ldb + jc + jr;
-    for (std::size_t g = 0; g < full_g; ++g) {
-      // Four consecutive B rows interleaved column-by-column: each j emits
-      // the k-quad [r0[j], r1[j], r2[j], r3[j]] the SIMD kernels consume.
-      const std::uint8_t* r0 = col0 + 4 * g * ldb;
-      const std::uint8_t* r1 = r0 + ldb;
-      const std::uint8_t* r2 = r1 + ldb;
-      const std::uint8_t* r3 = r2 + ldb;
-      for (std::size_t j = 0; j < nr; ++j) {
-        buf[0] = r0[j];
-        buf[1] = r1[j];
-        buf[2] = r2[j];
-        buf[3] = r3[j];
-        buf += 4;
-      }
-      for (std::size_t j = nr; j < nr_tile; ++j) {
-        std::memset(buf, 0, 4);
-        buf += 4;
-      }
+/// q = clamp(trunc(r ± 0.5) + zp, 0, 255) with r = x·(1/s): r rounded half
+/// away from zero. r + copysign(0.5, r) equals r >= 0 ? r + 0.5 : r − 0.5
+/// except at r = −0.0, where both truncate to 0.
+inline std::uint8_t quantize_u8(float v, float inv_scale, std::int32_t zp) {
+  const float r = v * inv_scale;
+  int q = static_cast<int>(r + std::copysign(0.5f, r)) + zp;
+  if (q < 0) q = 0;
+  if (q > 255) q = 255;
+  return static_cast<std::uint8_t>(q);
+}
+
+/// dst[y*dst_ld + u] = quantize_u8(src[y*src_ld + u*step]) for y < rows,
+/// u < n. On x86-64 four codes at a time in baseline SSE2: cvttps2dq
+/// truncates as the scalar cast does, and the two saturating packs clamp to
+/// [0, 255] as the scalar clamps do.
+void quantize_rows(std::uint8_t* dst, std::size_t dst_ld, const float* src, std::size_t src_ld,
+                   std::size_t rows, std::size_t n, std::size_t step, float inv_scale,
+                   std::int32_t zp) {
+  for (std::size_t y = 0; y < rows; ++y, dst += dst_ld, src += src_ld) {
+    std::size_t u = 0;
+#if defined(HDCZSC_GEMM_INT8_X86)
+    const __m128 inv = _mm_set1_ps(inv_scale), half = _mm_set1_ps(0.5f);
+    const __m128 sign = _mm_set1_ps(-0.0f);
+    for (; u + 4 <= n; u += 4) {
+      const float* x = src + u * step;
+      const __m128 r = _mm_mul_ps(
+          step == 1 ? _mm_loadu_ps(x) : _mm_setr_ps(x[0], x[step], x[2 * step], x[3 * step]),
+          inv);
+      const __m128i q = _mm_add_epi32(
+          _mm_cvttps_epi32(_mm_add_ps(r, _mm_or_ps(half, _mm_and_ps(r, sign)))),
+          _mm_set1_epi32(zp));
+      const __m128i q16 = _mm_packs_epi32(q, q);
+      const std::int32_t codes = _mm_cvtsi128_si32(_mm_packus_epi16(q16, q16));
+      std::memcpy(dst + u, &codes, 4);
     }
-    if (full_g < kg) {
-      for (std::size_t j = 0; j < nr_tile; ++j) {
-        for (std::size_t b = 0; b < 4; ++b) {
-          const std::size_t p = 4 * full_g + b;
-          *buf++ = (j < nr && p < kc) ? col0[p * ldb + j] : std::uint8_t{0};
+#endif
+    for (; u < n; ++u) dst[u] = quantize_u8(src[u * step], inv_scale, zp);
+  }
+}
+
+/// The QuantConvEpilogue from the s32 block acc [mc, nc] of output rows
+/// [i0, i0+mc) x columns [j0, j0+nc) into the NCHW Y, whose images are
+/// [out_c, ncols] blocks. Baseline-ISA code, so no multiply-add contracts.
+void write_back(const QuantConvEpilogue& ep, const std::int32_t* acc, std::size_t i0,
+                std::size_t mc, std::size_t j0, std::size_t nc, std::size_t out_c,
+                std::size_t ncols, float* Y) {
+  for (std::size_t t = 0; t < nc;) {
+    const std::size_t img = (j0 + t) / ncols, col = j0 + t - img * ncols;
+    const std::size_t len = std::min(nc - t, ncols - col);
+    for (std::size_t i = 0; i < mc; ++i) {
+      const std::size_t oc = i0 + i, off = (img * out_c + oc) * ncols + col;
+      const std::int32_t* a = acc + i * nc + t;
+      const float sc = ep.in_scale * ep.w_scale[oc];
+      const std::int32_t corr = ep.in_zero_point * ep.wsum[oc];
+      const float bias = ep.bias[oc];
+      for (std::size_t u = 0; u < len; ++u) {
+        float v = sc * static_cast<float>(a[u] - corr) + bias;
+        if (ep.relu) v = v > 0.0f ? v : 0.0f;
+        if (ep.residual) {
+          v = v + ep.residual[off + u];
+          v = v > 0.0f ? v : 0.0f;
         }
+        Y[off + u] = v;
       }
     }
+    t += len;
   }
 }
 
@@ -374,40 +402,68 @@ void gemm_s8u8_accumulate(std::size_t m, std::size_t n, std::size_t k, const std
   if (m == 0 || n == 0 || k == 0) return;
   const obs::ScopedTimer profile(gemm_int8_hist());
   const KernelConfig& cfg = *active_kernel().load();
-  // Same worker-aware row-block shrink as the float core: split rows only as
-  // far as the pool can use, never below two tile rows.
-  std::size_t mc_blk = kMC;
-  const std::size_t workers = util::worker_count();
-  if (workers > 1) {
-    const std::size_t jblocks = (n + kNC - 1) / kNC;
-    const std::size_t want_iblocks = (workers + jblocks - 1) / jblocks;
-    if (want_iblocks > 1) {
-      std::size_t per = (m + want_iblocks - 1) / want_iblocks;
-      per = std::max(per, 2 * cfg.mr);
-      mc_blk = std::min(kMC, (per + cfg.mr - 1) / cfg.mr * cfg.mr);
-    }
-  }
-  const std::size_t n_iblocks = (m + mc_blk - 1) / mc_blk;
-  const std::size_t n_jblocks = (n + kNC - 1) / kNC;
+  // B [k, n] is the one-pixel-high image of a 1×1 conv with k channels.
+  const ConvShape b_image{1, k, 1, ldb, m, 1, 1, 0};
+  detail::run_block_grid(
+      m, n, k, cfg.mr, kMC, kNC,
+      [&](std::size_t ic, std::size_t mc, std::size_t jc, std::size_t nc) {
+        auto* apack = reinterpret_cast<std::int8_t*>(
+            scratch_u8(kScratchGemmPackA, detail::round_up(mc, cfg.mr) * kKC));
+        std::uint8_t* bpack = scratch_u8(kScratchGemmPackB, detail::round_up(nc, cfg.nr) * kKC);
+        for (std::size_t pc = 0; pc < k; pc += kKC) {
+          const std::size_t kc = std::min(kKC, k - pc);
+          detail::pack_b_conv<std::uint8_t, 4, kKC>(b_image, B, 1, ldb, pc, jc, kc, nc, cfg.nr,
+                                                    bpack);
+          pack_a(A, lda, ic, pc, mc, kc, cfg.mr, apack);
+          cfg.macro(apack, bpack, mc, nc, (kc + 3) / 4, C + ic * ldc + jc, ldc);
+        }
+      });
+}
 
-  util::parallel_for(0, n_iblocks * n_jblocks, [&](std::size_t task) {
-    const std::size_t ic = (task % n_iblocks) * mc_blk;
-    const std::size_t jc = (task / n_iblocks) * kNC;
-    const std::size_t mc = std::min(mc_blk, m - ic);
-    const std::size_t nc = std::min(kNC, n - jc);
-    const std::size_t mc_padded = (mc + cfg.mr - 1) / cfg.mr * cfg.mr;
-    const std::size_t nc_padded = (nc + cfg.nr - 1) / cfg.nr * cfg.nr;
-    auto* apack =
-        reinterpret_cast<std::int8_t*>(scratch_u8(kScratchGemmPackA, mc_padded * kKC));
-    std::uint8_t* bpack = scratch_u8(kScratchGemmPackB, nc_padded * kKC);
-    for (std::size_t pc = 0; pc < k; pc += kKC) {
-      const std::size_t kc = std::min(kKC, k - pc);
-      const std::size_t kg = (kc + 3) / 4;
-      pack_b(B, ldb, pc, jc, kc, nc, cfg.nr, bpack);
-      pack_a(A, lda, ic, pc, mc, kc, cfg.mr, apack);
-      cfg.macro(apack, bpack, mc, nc, kg, C + ic * ldc + jc, ldc);
-    }
-  }, 1);
+void gemm_s8u8_conv(const ConvShape& s, const std::int8_t* W, const float* X,
+                    const QuantConvEpilogue& ep, float* Y) {
+  const std::size_t ncols = s.out_h() * s.out_w();
+  const std::size_t m = s.out_c, n = s.batch * ncols, k = s.in_c * s.kernel * s.kernel;
+  if (m == 0 || n == 0) return;
+  const obs::ScopedTimer profile(gemm_int8_hist());
+
+  // Stage the elements the conv reads, each quantized once, with the zero
+  // point (the exact code of real 0.0) around them. An unpadded 1×1 conv
+  // reads only the stride-s subgrid: stage that and convolve it at stride 1.
+  const std::size_t step = s.kernel == 1 && s.pad == 0 ? s.stride : 1;
+  ConvShape g = s;
+  if (step > 1) g = {s.batch, s.in_c, s.out_h(), s.out_w(), s.out_c, 1, 1, 0};
+  const std::size_t hp = g.h + 2 * g.pad, wp = g.w + 2 * g.pad;
+  const std::size_t planes = s.batch * s.in_c;
+  std::uint8_t* xq = scratch_u8(kScratchConvCols, planes * hp * wp);
+  const float inv_scale = 1.0f / ep.in_scale;
+  const std::int32_t zp = ep.in_zero_point;
+  if (g.pad == 0 && step == 1) {  // the staged copy is the input, quantized
+    quantize_rows(xq, 0, X, 0, 1, planes * s.h * s.w, 1, inv_scale, zp);
+  } else {
+    if (g.pad > 0) std::memset(xq, static_cast<std::uint8_t>(zp), planes * hp * wp);
+    for (std::size_t plane = 0; plane < planes; ++plane)
+      quantize_rows(xq + (plane * hp + g.pad) * wp + g.pad, wp, X + plane * s.h * s.w,
+                    step * s.w, g.h, g.w, step, inv_scale, zp);
+  }
+
+  const KernelConfig& cfg = *active_kernel().load();
+  detail::run_block_grid(
+      m, n, k, cfg.mr, kMC, kNC,
+      [&](std::size_t ic, std::size_t mc, std::size_t jc, std::size_t nc) {
+        auto* apack = reinterpret_cast<std::int8_t*>(
+            scratch_u8(kScratchGemmPackA, detail::round_up(mc, cfg.mr) * kKC));
+        std::uint8_t* bpack = scratch_u8(kScratchGemmPackB, detail::round_up(nc, cfg.nr) * kKC);
+        std::int32_t* acc = scratch_i32(kScratchConvOut, mc * nc);
+        std::fill(acc, acc + mc * nc, 0);
+        for (std::size_t pc = 0; pc < k; pc += kKC) {
+          const std::size_t kc = std::min(kKC, k - pc);
+          detail::pack_b_conv<std::uint8_t, 4, kKC>(g, xq, hp, wp, pc, jc, kc, nc, cfg.nr, bpack);
+          pack_a(W, k, ic, pc, mc, kc, cfg.mr, apack);
+          cfg.macro(apack, bpack, mc, nc, (kc + 3) / 4, acc, nc);
+        }
+        write_back(ep, acc, ic, mc, jc, nc, m, ncols, Y);
+      });
 }
 
 }  // namespace hdczsc::tensor

@@ -1,11 +1,13 @@
-// Cache-blocked integer GEMM over raw row-major buffers: the u8×s8→s32
-// compute core of the quantized backbone (nn/quant.hpp).
+// Cache-blocked integer GEMM over raw row-major buffers, and the int8 form
+// of the float core's convolution route (gemm_s8u8_conv, which every
+// quantized op of nn/quant.hpp runs): the u8×s8→s32 compute core of the
+// quantized backbone.
 //
 // Same three-level blocking scheme as the float core (gemm.hpp) — packed
 // MR-tall A panels, NR-wide B panels, a register-tiled micro-kernel down the
-// shared KC depth, thread-local pack scratch, flattened (jc, ic) task grid
-// over util::parallel_for — but the panels are packed in groups of four
-// k-values so one SIMD instruction consumes a whole k-quad:
+// shared KC depth, thread-local pack scratch — on the float core's own
+// (jc, ic) task grid and inline rule, but the panels are packed in groups
+// of four k-values so one SIMD instruction consumes a whole k-quad:
 //
 //   * AVX2:        vpmaddubsw (u8×s8 → s16 pair sums) + vpmaddwd against
 //                  ones + vpaddd — 32 MACs per three instructions,
@@ -21,6 +23,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "tensor/gemm.hpp"
 
 namespace hdczsc::tensor {
 
@@ -38,6 +42,33 @@ namespace hdczsc::tensor {
 void gemm_s8u8_accumulate(std::size_t m, std::size_t n, std::size_t k, const std::int8_t* A,
                           std::size_t lda, const std::uint8_t* B, std::size_t ldb,
                           std::int32_t* C, std::size_t ldc);
+
+/// What gemm_s8u8_conv does with an output element's exact s32 sum acc,
+/// for output channel oc, in this order (each step one rounded float
+/// operation, no multiply-add contracted):
+///   v = (in_scale·w_scale[oc])·float(acc − in_zero_point·wsum[oc]) + bias[oc];
+///   if relu:     v = v > 0 ? v : 0;
+///   if residual: v = v + residual[same NCHW index]; v = v > 0 ? v : 0.
+struct QuantConvEpilogue {
+  float in_scale = 1.0f;
+  std::int32_t in_zero_point = 0;
+  const float* w_scale = nullptr;      ///< [out_c]
+  const std::int32_t* wsum = nullptr;  ///< [out_c] Σ of each channel's codes
+  const float* bias = nullptr;         ///< [out_c]
+  bool relu = false;
+  const float* residual = nullptr;  ///< NCHW, shaped like Y, or null
+};
+
+/// Y = epilogue(W · im2col(quantize(X))) as NCHW [batch, out_c, out_h,
+/// out_w]: the int8 form of gemm_conv, with W's [out_c, in_c·k·k] codes in
+/// the range contract above. Each input element the conv reads is
+/// quantized once, q = clamp(round(x / in_scale) + in_zero_point, 0, 255),
+/// into a copy padded with the zero point; each GEMM task packs its k-quad
+/// B panels from that copy, accumulates its block in s32 and writes it back
+/// through the epilogue. The result does not depend on the batch, the
+/// worker count or the kernel variant.
+void gemm_s8u8_conv(const ConvShape& s, const std::int8_t* W, const float* X,
+                    const QuantConvEpilogue& ep, float* Y);
 
 /// Reference implementation with the same contract (triple loop, no packing,
 /// no threading, no range requirement on A). The library never calls it:

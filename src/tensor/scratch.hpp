@@ -1,5 +1,5 @@
 // Thread-local scratch buffers for hot-path workspaces (GEMM panel packing,
-// padded conv inputs, whole-batch im2col matrices, conv gradient staging).
+// padded conv inputs, the backward im2col matrices, conv gradient staging).
 //
 // Buffers grow monotonically and are reused across calls, so a steady-state
 // forward/backward pass performs no heap allocation. Each slot is one buffer
@@ -19,8 +19,8 @@ namespace hdczsc::tensor {
 enum ScratchSlot : std::size_t {
   kScratchGemmPackA = 0,  ///< per-thread packed A panel (one per GEMM block task)
   kScratchGemmPackB = 1,  ///< per-thread packed B panel (one per GEMM block task)
-  kScratchConvCols = 2,   ///< zero-padded conv input (forward) / im2col matrix (backward)
-  kScratchConvOut = 3,    ///< conv backward gathered grads / int8 conv accumulators
+  kScratchConvCols = 2,   ///< padded conv input (float and u8 forward) / im2col (backward)
+  kScratchConvOut = 3,    ///< conv backward gathered grads / an int8 conv task's s32 block
   kScratchConvDCols = 4,  ///< conv backward column-gradient matrix
   kScratchGeneric = 5,    ///< unassigned general-purpose workspace
   kScratchSlots = 6
@@ -33,7 +33,7 @@ enum ScratchSlot : std::size_t {
 float* scratch_f32(std::size_t slot, std::size_t count);
 
 /// Byte-typed and s32-typed variants for the int8 quantized path (packed
-/// int8 GEMM panels, quantized im2col matrices, s32 accumulators). Each
+/// int8 GEMM panels, the quantized conv input, s32 accumulator blocks). Each
 /// element type owns an independent per-thread pool, so the same slot id
 /// can be live in scratch_f32 and scratch_u8 at once — slot ids only
 /// collide within one type. Same growth/validity contract as scratch_f32.

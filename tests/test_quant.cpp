@@ -4,7 +4,10 @@
 // precision contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "nn/quant.hpp"
 #include "serve/engine.hpp"
 #include "serve/snapshot.hpp"
+#include "tensor/gemm_int8.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/scratch.hpp"
 #include "util/parallel.hpp"
@@ -158,6 +162,191 @@ TEST(QuantizedEmbed, TracksFloatEncoderOnEveryArchAndMethod) {
       EXPECT_GT(cos, 0.99) << c.arch << " / " << nn::calib_method_name(method);
     }
   }
+}
+
+// -- the int8 forward against a reference walk --------------------------------
+
+/// One quantized op as the reference walk needs it: out = dequant(W · im2col(
+/// quantize(x))) for a square kernel over NCHW x.
+struct RefOp {
+  nn::QuantParams in_q;
+  const std::vector<std::int8_t>& weight;
+  const std::vector<float>& w_scale;
+  const std::vector<float>& bias;
+  const std::vector<std::int32_t>& wsum;
+  std::size_t out_c, k, stride, pad;
+  bool relu;
+};
+
+/// The op from public primitives, in the int8 path's arithmetic: each input
+/// quantized as q = clamp(trunc(x/s ± 0.5) + zp), a zero-point-padded im2col
+/// per image, gemm_s32_naive, then per element
+///   v = (s_in·s_w[oc])·float(acc − zp·Σw[oc]) + b[oc], ReLU (v > 0 ? v : 0),
+///   and with a residual v + identity, then ReLU again.
+Tensor ref_quant_op(const RefOp& op, const Tensor& x, const Tensor* residual) {
+  const std::size_t batch = x.size(0), in_c = x.size(1), h = x.size(2), w = x.size(3);
+  const std::size_t oh = (h + 2 * op.pad - op.k) / op.stride + 1;
+  const std::size_t ow = (w + 2 * op.pad - op.k) / op.stride + 1;
+  const std::size_t krows = in_c * op.k * op.k, ncols = oh * ow;
+  const float inv_scale = 1.0f / op.in_q.scale;
+  const std::int32_t zp = op.in_q.zero_point;
+  auto quantize = [&](float v) {
+    const float r = v * inv_scale;
+    const int q = static_cast<int>(r >= 0.0f ? r + 0.5f : r - 0.5f) + zp;
+    return static_cast<std::uint8_t>(std::clamp(q, 0, 255));
+  };
+  Tensor y({batch, op.out_c, oh, ow});
+  std::vector<std::uint8_t> cols(krows * ncols);
+  std::vector<std::int32_t> acc(op.out_c * ncols);
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* xb = x.data() + b * in_c * h * w;
+    for (std::size_t c = 0; c < in_c; ++c)
+      for (std::size_t ki = 0; ki < op.k; ++ki)
+        for (std::size_t kj = 0; kj < op.k; ++kj)
+          for (std::size_t oy = 0; oy < oh; ++oy)
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+              const long iy = static_cast<long>(oy * op.stride + ki) - static_cast<long>(op.pad);
+              const long ix = static_cast<long>(ox * op.stride + kj) - static_cast<long>(op.pad);
+              const bool inside = iy >= 0 && iy < static_cast<long>(h) && ix >= 0 &&
+                                  ix < static_cast<long>(w);
+              cols[((c * op.k + ki) * op.k + kj) * ncols + oy * ow + ox] =
+                  inside ? quantize(xb[(c * h + iy) * w + ix]) : static_cast<std::uint8_t>(zp);
+            }
+    std::fill(acc.begin(), acc.end(), 0);
+    tensor::gemm_s32_naive(op.out_c, ncols, krows, op.weight.data(), krows, cols.data(), ncols,
+                           acc.data(), ncols);
+    for (std::size_t oc = 0; oc < op.out_c; ++oc) {
+      const float sc = op.in_q.scale * op.w_scale[oc];
+      for (std::size_t j = 0; j < ncols; ++j) {
+        const std::size_t at = (b * op.out_c + oc) * ncols + j;
+        float v = sc * static_cast<float>(acc[oc * ncols + j] - zp * op.wsum[oc]) + op.bias[oc];
+        if (op.relu) v = v > 0.0f ? v : 0.0f;
+        if (residual) {
+          v = v + residual->data()[at];
+          v = v > 0.0f ? v : 0.0f;
+        }
+        y.data()[at] = v;
+      }
+    }
+  }
+  return y;
+}
+
+Tensor ref_conv(const nn::QuantizedConv2d& q, const Tensor& x, const Tensor* residual = nullptr) {
+  return ref_quant_op({q.in_q, q.weight, q.w_scale, q.bias, q.wsum, q.out_c, q.k, q.stride,
+                       q.pad, q.fuse_relu},
+                      x, residual);
+}
+
+/// QuantizedEmbed::forward rebuilt from nodes(): every quantized op through
+/// ref_quant_op (the projection FC as a 1×1 conv over [B, in, 1, 1]), and
+/// the float glue between them — max-pool, GAP as a float sum × 1/HW,
+/// flatten — written out.
+Tensor reference_int8_forward(const nn::QuantizedEmbed& q, const Tensor& images) {
+  using Kind = nn::QuantizedEmbed::Node::Kind;
+  Tensor x = images;
+  for (const nn::QuantizedEmbed::Node& n : q.nodes()) {
+    switch (n.kind) {
+      case Kind::kConv:
+        x = ref_conv(n.conv, x);
+        break;
+      case Kind::kBlock: {
+        const Tensor identity = n.block.down ? ref_conv(*n.block.down, x) : x;
+        Tensor h = ref_conv(n.block.conv1, x);
+        if (n.block.conv3) {
+          h = ref_conv(n.block.conv2, h);
+          x = ref_conv(*n.block.conv3, h, &identity);
+        } else {
+          x = ref_conv(n.block.conv2, h, &identity);
+        }
+        break;
+      }
+      case Kind::kMaxPool: {
+        const std::size_t b = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
+        const std::size_t k = n.pool_k, s = n.pool_stride;
+        const std::size_t oh = (h - k) / s + 1, ow = (w - k) / s + 1;
+        Tensor y({b, c, oh, ow});
+        for (std::size_t bc = 0; bc < b * c; ++bc)
+          for (std::size_t oy = 0; oy < oh; ++oy)
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+              float best = -std::numeric_limits<float>::infinity();
+              for (std::size_t ki = 0; ki < k; ++ki)
+                for (std::size_t kj = 0; kj < k; ++kj)
+                  best = std::max(best, x.data()[(bc * h + oy * s + ki) * w + ox * s + kj]);
+              y.data()[(bc * oh + oy) * ow + ox] = best;
+            }
+        x = std::move(y);
+        break;
+      }
+      case Kind::kGap: {
+        const std::size_t bc = x.size(0) * x.size(1), hw = x.size(2) * x.size(3);
+        Tensor y({x.size(0), x.size(1)});
+        const float inv = 1.0f / static_cast<float>(hw);
+        for (std::size_t i = 0; i < bc; ++i) {
+          float acc = 0.0f;
+          for (std::size_t p = 0; p < hw; ++p) acc += x.data()[i * hw + p];
+          y.data()[i] = acc * inv;
+        }
+        x = std::move(y);
+        break;
+      }
+      case Kind::kFlatten:
+        x = x.reshape({x.size(0), x.numel() / x.size(0)});
+        break;
+      case Kind::kLinear: {
+        const auto& fc = n.conv;
+        const std::size_t batch = x.size(0);
+        x = ref_quant_op({fc.in_q, fc.weight, fc.w_scale, fc.bias, fc.wsum, fc.out_c, 1, 1, 0,
+                          false},
+                         x.reshape({batch, x.size(1), 1, 1}), nullptr);
+        x = x.reshape({batch, x.size(1)});
+        break;
+      }
+    }
+  }
+  return x;
+}
+
+TEST(QuantizedEmbed, ForwardEqualsAReferenceWalkBitwise) {
+  // Pins the int8 embedding's bits: integer sums are exact and the
+  // dequantize, ReLU and residual steps are fixed float expressions, so
+  // every kernel variant at every batch and worker count must reproduce the
+  // reference walk exactly. Covers the projection FC (resnet_micro_flat), no
+  // projection (resnet_micro), the max-pool stem, 1×1 stride-2 downsamples
+  // and GAP (resnet18), and bottleneck blocks (resnet50).
+  struct Case {
+    const char* arch;
+    bool proj;
+    std::vector<std::size_t> batches;
+  };
+  const Case cases[] = {{"resnet_micro_flat", true, {1, 3, 17}},
+                        {"resnet_micro", false, {1, 3, 17}},
+                        {"resnet18", true, {1, 3, 17}},
+                        {"resnet50", true, {1}}};
+  for (const Case& c : cases) {
+    core::ImageEncoder enc = make_encoder(c.arch, c.proj, 81);
+    util::Rng rng(82);
+    const Tensor calib = Tensor::randn({4, 3, 32, 32}, rng);
+    const auto table = nn::QuantizedEmbed::calibrate(enc.backbone(), enc.projection(), calib,
+                                                     nn::CalibMethod::kMinMax);
+    const auto q = nn::QuantizedEmbed::build(enc.backbone(), enc.projection(), table);
+    for (std::size_t batch : c.batches) {
+      const Tensor images = Tensor::randn({batch, 3, 32, 32}, rng);
+      const Tensor want = reference_int8_forward(*q, images);
+      for (const char* kernel : {"portable", "avx2", "avx512vnni"}) {
+        if (!tensor::gemm_int8_force_kernel(kernel)) continue;  // CPU can't run it
+        for (std::size_t workers : {1u, 4u}) {
+          util::set_worker_count(workers);
+          const Tensor got = q->forward(images);
+          ASSERT_EQ(got.shape(), want.shape()) << c.arch;
+          EXPECT_EQ(std::memcmp(got.data(), want.data(), want.numel() * sizeof(float)), 0)
+              << c.arch << " batch " << batch << " kernel " << kernel << " workers " << workers;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(tensor::gemm_int8_force_kernel("auto"));
+  util::set_worker_count(0);
 }
 
 TEST(QuantizedEmbed, SaveLoadRoundTripForwardIsBitExact) {

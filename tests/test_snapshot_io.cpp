@@ -659,6 +659,67 @@ TEST(ModelRegistry, NeverRegistersAHalfLoadedModel) {
   EXPECT_EQ(r.topk[0].label, registry.engine("m")->classify_batch(probe_images(1))[0].label);
 }
 
+TEST(SnapshotIO, QuantConvPadPastItsKernelRejectedByName) {
+  // The content checksum does not cover the quant records, so the loader's
+  // geometry check is what keeps a corrupt pad from reaching a forward that
+  // sizes its output from h + 2·pad − k. Every conv the builder folds has
+  // pad <= k/2, so the loader rejects pad >= k.
+  Tiny t = make_tiny(85, "hdc", /*n_classes=*/7);
+  serve::ModelSnapshot snap(t.model, t.a, /*binary_expansion=*/1);
+  std::stringstream bare;
+  serve::save_snapshot(bare, snap);
+  // The quant records follow the has_quant flag. After it the bare file
+  // holds only has_ivf (u8), the store version (u64), the calibrated
+  // penalty (f32), the content checksum (u64) and the end marker.
+  const std::size_t table_off = bare.str().size() - (1 + 8 + 4 + 8 + 4);
+
+  util::Rng rng(86);
+  snap.quantize(Tensor::randn({32, 3, 32, 32}, rng), nn::CalibMethod::kEntropy);
+  std::stringstream full;
+  serve::save_snapshot(full, snap);
+  const std::string bytes = full.str();
+  // The graph record follows the standalone table: "HQNT", u32 version, its
+  // own table copy, u64 node count, then node 0 — the stem conv — as a u8
+  // kind and u64 in_c, out_c, kernel, stride, pad.
+  // A table is its method (u8), its entry count (u64) and a (f32 scale,
+  // s32 zero point) pair per entry.
+  const std::size_t table_bytes = 1 + 8 + snap.quantized()->table().activations.size() * 8;
+  const std::size_t graph_off = table_off + table_bytes;
+  ASSERT_EQ(bytes.substr(graph_off, 4), "HQNT");
+  const std::size_t kernel_off = graph_off + 4 + 4 + table_bytes + 8 + 1 + 2 * 8;
+  const std::size_t pad_off = kernel_off + 2 * 8;
+  std::uint64_t kernel = 0, pad = 0;
+  std::memcpy(&kernel, bytes.data() + kernel_off, 8);
+  std::memcpy(&pad, bytes.data() + pad_off, 8);
+  ASSERT_EQ(kernel, 3u);
+  ASSERT_EQ(pad, 1u);
+
+  const std::string path = temp_path("quant_conv_pad.hdcsnap");
+  for (const std::uint64_t bad :
+       {std::uint64_t{1} << 62, (std::uint64_t{1} << 63) - 15, std::uint64_t{1} << 63}) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + pad_off, &bad, 8);
+    const auto expect_named = [&](const char* what, const auto& load) {
+      try {
+        load();
+        ADD_FAILURE() << what << " accepted conv pad " << bad;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("conv geometry"), std::string::npos)
+            << what << " with pad " << bad << ": " << e.what();
+      }
+    };
+    std::istringstream in(corrupt);
+    expect_named("load_snapshot", [&] { serve::load_snapshot(in); });
+    std::istringstream in2(corrupt);
+    expect_named("inspect_snapshot", [&] { serve::inspect_snapshot(in2); });
+    write_file(path, corrupt);
+    serve::ModelRegistry registry(fast_cfg());
+    expect_named("ModelRegistry::load_file", [&] { registry.load_file("m", path); });
+    EXPECT_FALSE(registry.has("m"));
+    EXPECT_EQ(registry.size(), 0u);
+  }
+}
+
 TEST(SnapshotIO, CorruptPrototypePlanesFailTheContentChecksum) {
   // The v6 checksum is the only guard over the prototype planes' payload:
   // a flipped float bit or packed-word bit, or a seen/unseen swap that
